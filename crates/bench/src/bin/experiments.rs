@@ -11,13 +11,11 @@
 //! `--paper-scale` uses the paper's dataset cardinalities and δ = 1 s.
 
 use qfe_bench::{
-    ablation_estimator, chaos_fleet_json, chaos_fleet_summary, cluster_chaos_json,
-    cluster_chaos_summary, extra_entropy, extra_initial_size, manager_report, qbo_batch_json,
-    qbo_batch_measurements, qbo_batch_report, rounds_json, rounds_measurements, rounds_report,
-    run_chaos_fleet, run_cluster_chaos, run_service_fleet, service_fleet_json,
-    service_fleet_summary, skyline_parallel_json, skyline_parallel_report, skyline_parallel_rows,
-    table1, table2, table3, table4, table5, table6, table7, user_study, ChaosFleetConfig,
-    ClusterChaosConfig, Scale, ServiceFleetConfig,
+    ablation_estimator, extra_entropy, extra_initial_size, fleet_json, manager_report,
+    qbo_batch_json, qbo_batch_measurements, qbo_batch_report, rounds_json, rounds_measurements,
+    rounds_report, run_fleet, skyline_parallel_json, skyline_parallel_report,
+    skyline_parallel_rows, table1, table2, table3, table4, table5, table6, table7, user_study,
+    FleetConfig, Scale, Scenario,
 };
 
 fn main() {
@@ -121,57 +119,30 @@ fn main() {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
-    if want("service") {
-        let config = ServiceFleetConfig {
-            sessions: fleet_sessions.unwrap_or(ServiceFleetConfig::default().sessions),
-            ..ServiceFleetConfig::default()
-        };
-        let report = run_service_fleet(&config);
-        println!("{}", service_fleet_summary(&config, &report));
-        let json = service_fleet_json(&config, &report);
-        let path = "BENCH_service.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
+    for (name, scenario, path) in [
+        ("service", Scenario::Service, "BENCH_service.json"),
+        ("chaos", Scenario::Chaos, "BENCH_chaos.json"),
+        (
+            "cluster",
+            Scenario::Cluster { shards: 4 },
+            "BENCH_cluster.json",
+        ),
+    ] {
+        if !want(name) {
+            continue;
         }
-    }
-    if want("chaos") {
-        let config = ChaosFleetConfig {
-            sessions: fleet_sessions.unwrap_or(ChaosFleetConfig::default().sessions),
-            ..ChaosFleetConfig::default()
-        };
-        let report = run_chaos_fleet(&config);
-        println!("{}", chaos_fleet_summary(&config, &report));
-        let json = chaos_fleet_json(&config, &report);
-        let path = "BENCH_chaos.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-        if report.lost_sessions > 0 || report.duplicate_answer_effects > 0 {
-            eprintln!(
-                "chaos fleet FAILED its exactly-once guarantee: {} lost, {} duplicated",
-                report.lost_sessions, report.duplicate_answer_effects
-            );
-            std::process::exit(1);
-        }
-    }
-    if want("cluster") {
-        let config = ClusterChaosConfig {
-            sessions: fleet_sessions.unwrap_or(ClusterChaosConfig::default().sessions),
-            ..ClusterChaosConfig::default()
-        };
-        let report = run_cluster_chaos(&config);
-        println!("{}", cluster_chaos_summary(&config, &report));
-        let json = cluster_chaos_json(&config, &report);
-        let path = "BENCH_cluster.json";
+        let mut config = FleetConfig::new(scenario);
+        config.sessions = fleet_sessions.unwrap_or(config.sessions);
+        let report = run_fleet(&config);
+        let json = fleet_json(&config, &report);
+        println!("{json}");
         match std::fs::write(path, &json) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
         if report.lost_sessions > 0 || report.duplicate_effects > 0 {
             eprintln!(
-                "cluster chaos FAILED its exactly-once guarantee: {} lost, {} duplicated",
+                "{name} fleet FAILED its exactly-once guarantee: {} lost, {} duplicated",
                 report.lost_sessions, report.duplicate_effects
             );
             std::process::exit(1);

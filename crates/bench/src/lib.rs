@@ -10,22 +10,9 @@
 
 #![forbid(unsafe_code)]
 
-mod chaos;
-mod cluster;
-mod service;
+mod fleet;
 
-pub use chaos::{
-    chaos_fault_plan, chaos_fleet_json, chaos_fleet_summary, run_chaos_fleet, ChaosFleetConfig,
-    ChaosFleetReport,
-};
-pub use cluster::{
-    cluster_chaos_json, cluster_chaos_summary, cluster_fault_plan, run_cluster_chaos,
-    ClusterChaosConfig, ClusterChaosReport,
-};
-pub use service::{
-    run_service_fleet, service_fleet_json, service_fleet_summary, ServiceFleetConfig,
-    ServiceFleetReport,
-};
+pub use fleet::{fault_plan, fleet_json, run_fleet, FleetConfig, FleetReport, Scenario};
 
 use std::fmt::Write as _;
 use std::time::Duration;

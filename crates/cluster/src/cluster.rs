@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use qfe_core::{QfeEngine, QfeError, QfeSession, Result, SessionId, SessionSnapshot, Step};
 use qfe_snapstore::{
     parse_session_store_key, session_store_key, FsckReport, HostConfig, ParkAllReport, ParkReceipt,
-    SessionBackend, SessionHost, SnapshotStore, StoreError,
+    SessionBackend, SessionHost, SessionLocks, SnapshotStore, StoreError,
 };
 use qfe_wire::Json;
 
@@ -234,12 +234,12 @@ pub struct Cluster {
     store: Arc<dyn SnapshotStore>,
     shards: Vec<Shard>,
     router: ShardRouter,
-    /// One lock per session id, created on first touch. A verb holds its
-    /// session's lock across engine-op + checkpoint; migration, failover,
-    /// drain, and delete take the same lock before touching the session —
-    /// so a session is only ever mutated from one place at a time, even
-    /// while the fleet is being killed and restarted under it.
-    locks: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// A verb holds its session's lock across engine-op + checkpoint;
+    /// migration, failover, drain, kill and delete take the same lock before
+    /// touching the session — so a session is only ever mutated from one
+    /// place at a time, even while the fleet is being killed and restarted
+    /// under it. Taken before the shard host's own lock for the session.
+    locks: SessionLocks,
     next_id: AtomicU64,
     migrations: AtomicU64,
     failovers: AtomicU64,
@@ -280,7 +280,7 @@ impl Cluster {
             store,
             shards,
             router: ShardRouter::default(),
-            locks: Mutex::new(HashMap::new()),
+            locks: SessionLocks::default(),
             next_id: AtomicU64::new(next_id),
             migrations: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
@@ -307,16 +307,6 @@ impl Cluster {
     /// The routing table.
     pub fn router(&self) -> &ShardRouter {
         &self.router
-    }
-
-    fn session_lock(&self, key: u64) -> Arc<Mutex<()>> {
-        Arc::clone(
-            self.locks
-                .lock()
-                .expect("session lock table poisoned")
-                .entry(key)
-                .or_default(),
-        )
     }
 
     fn stored(&self, key: u64) -> Result<bool> {
@@ -383,7 +373,7 @@ impl Cluster {
     ) -> Result<T> {
         let key = id.as_u64();
         for _ in 0..ROUTE_ATTEMPTS {
-            let lock = self.session_lock(key);
+            let lock = self.locks.get(id);
             let _guard = lock.lock().expect("session lock poisoned");
             let shard_index = self.claim_route(key)?;
             let shard = &self.shards[shard_index];
@@ -433,12 +423,12 @@ impl Cluster {
     fn place(&self, engine: QfeEngine) -> Result<SessionId> {
         let id = SessionId::from_u64(self.next_id.fetch_add(1, Ordering::SeqCst));
         let key = id.as_u64();
-        let lock = self.session_lock(key);
+        let lock = self.locks.get(id);
         let _guard = lock.lock().expect("session lock poisoned");
         let shard_index = self.pick_assignable(key)?;
         let shard = &self.shards[shard_index];
         if let Err(e) = shard.host().adopt_as(id, engine) {
-            shard.host().manager().evict(id);
+            shard.host().discard(id);
             return Err(e);
         }
         // The birth certificate: until the session exists in the shared
@@ -450,7 +440,7 @@ impl Cluster {
             // The watermark parked it during adoption — already durable.
             Err(QfeError::UnknownSession { .. }) => {}
             Err(e) => {
-                shard.host().manager().evict(id);
+                shard.host().discard(id);
                 return Err(e);
             }
         }
@@ -511,12 +501,12 @@ impl Cluster {
     /// shared store record.
     pub fn evict(&self, id: SessionId) -> Result<bool> {
         let key = id.as_u64();
-        let lock = self.session_lock(key);
+        let lock = self.locks.get(id);
         let _guard = lock.lock().expect("session lock poisoned");
         let mut found = false;
         if let Some(shard) = self.router.get(key) {
             if self.shards[shard].is_serving() {
-                found |= self.shards[shard].host().manager().evict(id);
+                found |= self.shards[shard].host().discard(id);
             }
         }
         self.router.remove(key);
@@ -543,7 +533,7 @@ impl Cluster {
                 message: format!("target shard {target} is not accepting sessions"),
             });
         }
-        let lock = self.session_lock(key);
+        let lock = self.locks.get(id);
         let _guard = lock.lock().expect("session lock poisoned");
         let source = self.router.get(key);
         if source == Some(target) {
@@ -582,9 +572,9 @@ impl Cluster {
         shard.record_kill();
         let mut dropped = 0;
         for id in shard.host().manager().session_ids() {
-            let lock = self.session_lock(id.as_u64());
+            let lock = self.locks.get(id);
             let _guard = lock.lock().expect("session lock poisoned");
-            if shard.host().manager().evict(id) {
+            if shard.host().discard(id) {
                 dropped += 1;
             }
         }
@@ -602,7 +592,7 @@ impl Cluster {
         }
         let mut moved = 0;
         for key in self.router.routed_to(index) {
-            let lock = self.session_lock(key);
+            let lock = self.locks.get(SessionId::from_u64(key));
             let _guard = lock.lock().expect("session lock poisoned");
             // Revalidate under the lock: a concurrent request may already
             // have claimed a new home, or the shard may have restarted.
@@ -650,10 +640,14 @@ impl Cluster {
         }
         shard.set_state(ShardState::Draining);
         // Take every routed session's lock in id order (deadlock-free:
-        // every other path holds at most one session lock) so no verb is
-        // in flight while the shard's sessions move.
+        // every other path holds at most one cluster session lock, and
+        // takes a host lock only after it) so no verb is in flight while
+        // the shard's sessions move.
         let keys = self.router.routed_to(index);
-        let locks: Vec<Arc<Mutex<()>>> = keys.iter().map(|&k| self.session_lock(k)).collect();
+        let locks: Vec<_> = keys
+            .iter()
+            .map(|&k| self.locks.get(SessionId::from_u64(k)))
+            .collect();
         let guards: Vec<_> = locks
             .iter()
             .map(|l| l.lock().expect("session lock poisoned"))

@@ -4,7 +4,7 @@
 //! * **Placement transparency** — a session's outcome is byte-identical
 //!   whether it lives out its life on one shard, live-migrates between
 //!   every feedback round, or survives a shard kill and failover after
-//!   every round; and identical again across all three store backends.
+//!   every round; and identical again across both store backends.
 //! * **Rehydration races** — concurrent requests and migrations aimed at
 //!   one parked session, under seeded store latency, leave exactly one
 //!   resident engine in the fleet and present every caller the same round.
@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use qfe_cluster::{Cluster, ClusterConfig};
 use qfe_core::{FeedbackUser as _, OracleUser, QfeSession, SessionId, Step};
 use qfe_snapstore::{
-    DirStore, FaultAction, FaultPlan, FaultRule, FaultTrigger, FaultyStore, LogStore, MemoryStore,
+    FaultAction, FaultPlan, FaultRule, FaultTrigger, FaultyStore, LogStore, MemoryStore,
     SnapshotStore,
 };
 use qfe_wire::ToJson as _;
@@ -32,16 +32,6 @@ fn open_store(backend: &str, tag: &str) -> (Arc<dyn SnapshotStore>, Option<std::
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let store = LogStore::open(dir.join("fleet.log")).expect("log store opens");
-            (Arc::new(store), Some(dir))
-        }
-        "dir" => {
-            let dir = std::env::temp_dir().join(format!(
-                "qfe-fleet-dir-{}-{tag}-{}",
-                std::process::id(),
-                backend
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let store = DirStore::open(&dir).expect("dir store opens");
             (Arc::new(store), Some(dir))
         }
         other => panic!("unknown backend {other}"),
@@ -99,7 +89,7 @@ fn current_shard(cluster: &Cluster, id: SessionId) -> usize {
 #[test]
 fn outcomes_are_byte_identical_across_placements_and_backends() {
     let mut transcripts: Vec<(String, Vec<String>)> = Vec::new();
-    for backend in ["mem", "log", "dir"] {
+    for backend in ["mem", "log"] {
         // One shard, sessions never move: the baseline.
         let (store, dir) = open_store(backend, "single");
         let cluster = Cluster::open(store, ClusterConfig::with_shards(1)).expect("cluster opens");

@@ -1,7 +1,7 @@
 //! The `qfe-server` binary: serve QFE sessions over HTTP.
 //!
 //! ```text
-//! qfe-server [--addr HOST:PORT] [--store mem|log:PATH|dir:PATH]
+//! qfe-server [--addr HOST:PORT] [--store mem|log:PATH]
 //!            [--workers N] [--max-resident N] [--shards N] [--fsck]
 //! ```
 //!
@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use qfe_cluster::{Cluster, ClusterConfig};
 use qfe_server::{Handler, Request, Response, Server, ServerConfig, ServiceState};
-use qfe_snapstore::{DirStore, HostConfig, LogStore, MemoryStore, SessionHost, SnapshotStore};
+use qfe_snapstore::{HostConfig, LogStore, MemoryStore, SessionHost, SnapshotStore};
 
 /// How long the exit path may spend parking resident sessions — shared
 /// with the in-flight request drain.
@@ -81,7 +81,7 @@ fn parse_args() -> Result<Args, String> {
             "--fsck" => args.fsck = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: qfe-server [--addr HOST:PORT] [--store mem|log:PATH|dir:PATH] \
+                    "usage: qfe-server [--addr HOST:PORT] [--store mem|log:PATH] \
                      [--workers N] [--max-resident N] [--shards N] [--fsck]"
                         .to_string(),
                 )
@@ -99,12 +99,7 @@ fn open_store(spec: &str) -> Result<Arc<dyn SnapshotStore>, String> {
     if let Some(path) = spec.strip_prefix("log:") {
         return Ok(Arc::new(LogStore::open(path).map_err(|e| e.to_string())?));
     }
-    if let Some(path) = spec.strip_prefix("dir:") {
-        return Ok(Arc::new(DirStore::open(path).map_err(|e| e.to_string())?));
-    }
-    Err(format!(
-        "unknown store {spec:?}: expected mem, log:PATH or dir:PATH"
-    ))
+    Err(format!("unknown store {spec:?}: expected mem or log:PATH"))
 }
 
 /// Routes `POST /admin/shutdown` to a signal channel; everything else goes

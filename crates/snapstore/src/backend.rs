@@ -49,7 +49,7 @@ pub trait SessionBackend: Send + Sync + std::fmt::Debug {
     fn resident_count(&self) -> usize;
     /// Sessions parked in the store and not resident anywhere.
     fn parked_count(&self) -> Result<usize>;
-    /// Short name of the backing store (`"mem"`, `"log"`, `"dir"`, …).
+    /// Short name of the backing store (`"mem"`, `"log"`, …).
     fn store_backend_name(&self) -> &'static str;
     /// Audits the backing store (see [`crate::SnapshotStore::fsck`]).
     fn fsck(&self) -> std::result::Result<FsckReport, StoreError>;

@@ -1,8 +1,7 @@
 //! The `fsck`-style store inspection report.
 //!
-//! Both durable backends ([`LogStore`](crate::LogStore) and
-//! [`DirStore`](crate::DirStore)) expose an `fsck()` method that rescans the
-//! backing storage, verifies every per-record checksum, quarantines damaged
+//! The durable backend, [`LogStore`](crate::LogStore), exposes an `fsck()`
+//! method that rescans the log file, verifies every per-record checksum, quarantines damaged
 //! records so later reads are clean misses instead of errors, and reports
 //! what it found. The report is what an operator reads after a crash or a
 //! disk scare: how much of the store is live, how much is reclaimable
@@ -20,8 +19,7 @@ pub struct QuarantinedRecord {
     pub namespace: String,
     /// The record key, as far as it could be recovered.
     pub key: String,
-    /// Where the damage sits (a byte offset for the log store, a file path
-    /// for the directory store).
+    /// Where the damage sits (a byte offset in the log file).
     pub location: String,
     /// Why the record was quarantined.
     pub reason: String,
@@ -30,7 +28,7 @@ pub struct QuarantinedRecord {
 /// What an `fsck` pass over a store found (and repaired).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsckReport {
-    /// Which backend produced the report (`"log"` / `"dir"`).
+    /// Which backend produced the report (`"log"`, `"mem"`, …).
     pub backend: &'static str,
     /// Records examined, live and dead.
     pub records_scanned: usize,
@@ -40,13 +38,11 @@ pub struct FsckReport {
     pub live_workloads: usize,
     /// Records taken out of service because their bytes fail verification.
     pub quarantined: Vec<QuarantinedRecord>,
-    /// Bytes of a torn trailing append (log store only) discarded at open.
+    /// Bytes of a torn trailing append discarded at open.
     pub torn_tail_bytes: u64,
     /// Bytes held by superseded or tombstoned records — reclaimable by a
     /// compaction, but never served.
     pub garbage_bytes: u64,
-    /// Orphaned temp files removed (directory store only).
-    pub reclaimed_tmp_files: usize,
 }
 
 impl FsckReport {
@@ -66,10 +62,6 @@ impl FsckReport {
             ("live_workloads", Json::Int(self.live_workloads as i64)),
             ("torn_tail_bytes", Json::Int(self.torn_tail_bytes as i64)),
             ("garbage_bytes", Json::Int(self.garbage_bytes as i64)),
-            (
-                "reclaimed_tmp_files",
-                Json::Int(self.reclaimed_tmp_files as i64),
-            ),
             (
                 "quarantined",
                 Json::Array(
@@ -99,8 +91,8 @@ impl fmt::Display for FsckReport {
         )?;
         writeln!(
             f,
-            "  garbage: {} bytes, torn tail: {} bytes, tmp files reclaimed: {}",
-            self.garbage_bytes, self.torn_tail_bytes, self.reclaimed_tmp_files
+            "  garbage: {} bytes, torn tail: {} bytes",
+            self.garbage_bytes, self.torn_tail_bytes
         )?;
         if self.quarantined.is_empty() {
             write!(f, "  quarantined: none")

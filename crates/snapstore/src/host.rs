@@ -12,8 +12,17 @@
 //! rehydration leaves the stored copy in place, so a crash after resume
 //! falls back to the last parked state instead of losing the session.
 //! The copy is replaced on the next park.
+//!
+//! Concurrency: every verb holds its session's lock (a [`SessionLocks`]
+//! entry) from rehydration through the engine op, and every park holds it
+//! from snapshot to eviction. The watermark sweep runs after the verb has
+//! released its own lock and only `try_lock`s its victims, skipping busy
+//! ones, so it can never park a session between another request's
+//! rehydration and its op, nor evict an engine whose answer has not been
+//! written.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qfe_core::{
@@ -74,12 +83,34 @@ impl ParkAllReport {
     }
 }
 
+/// One lock per session id, created on first touch — the table both the
+/// host and the cluster router serialize a session's verbs with. Whoever
+/// holds both takes the cluster's before the host's.
+#[derive(Debug, Default)]
+pub struct SessionLocks {
+    table: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+}
+
+impl SessionLocks {
+    /// The lock for session `id`.
+    pub fn get(&self, id: SessionId) -> Arc<Mutex<()>> {
+        Arc::clone(
+            self.table
+                .lock()
+                .expect("session lock table poisoned")
+                .entry(id.as_u64())
+                .or_default(),
+        )
+    }
+}
+
 /// A [`SessionManager`] with a durable snapshot store behind it.
 #[derive(Debug)]
 pub struct SessionHost {
     manager: SessionManager,
     store: Arc<dyn SnapshotStore>,
     config: HostConfig,
+    locks: SessionLocks,
 }
 
 /// The store key a session parks under — shared vocabulary between the
@@ -117,6 +148,7 @@ impl SessionHost {
             manager,
             store,
             config,
+            locks: SessionLocks::default(),
         })
     }
 
@@ -134,7 +166,7 @@ impl SessionHost {
     /// (or this one) if the resident watermark is exceeded.
     pub fn create(&self, session: &QfeSession) -> Result<SessionId> {
         let id = self.manager.create(session);
-        self.enforce_watermark()?;
+        self.enforce_watermark();
         Ok(id)
     }
 
@@ -142,7 +174,7 @@ impl SessionHost {
     /// over the wire).
     pub fn adopt(&self, engine: QfeEngine) -> Result<SessionId> {
         let id = self.manager.adopt(engine);
-        self.enforce_watermark()?;
+        self.enforce_watermark();
         Ok(id)
     }
 
@@ -151,31 +183,37 @@ impl SessionHost {
     /// any one shard's manager. Fails when the id is already resident.
     pub fn adopt_as(&self, id: SessionId, engine: QfeEngine) -> Result<()> {
         self.manager.adopt_as(id, engine)?;
-        self.enforce_watermark()?;
+        self.enforce_watermark();
         Ok(())
     }
 
     /// Restores a session from a snapshot under a fresh id.
     pub fn restore(&self, snapshot: SessionSnapshot) -> Result<SessionId> {
         let id = self.manager.restore(snapshot)?;
-        self.enforce_watermark()?;
+        self.enforce_watermark();
         Ok(id)
+    }
+
+    /// Runs `op` on the resident session under its lock, rehydrating it
+    /// first if parked, then sweeps the watermark once the lock is released.
+    fn verb<T>(&self, id: SessionId, op: impl FnOnce(&SessionManager) -> Result<T>) -> Result<T> {
+        let result = {
+            let lock = self.locks.get(id);
+            let _guard = lock.lock().expect("session lock poisoned");
+            self.ensure_resident(id).and_then(|_| op(&self.manager))
+        };
+        self.enforce_watermark();
+        result
     }
 
     /// Advances a session, rehydrating it from the store first if parked.
     pub fn step(&self, id: SessionId) -> Result<Step> {
-        self.ensure_resident(id)?;
-        let step = self.manager.step(id);
-        self.enforce_watermark()?;
-        step
+        self.verb(id, |m| m.step(id))
     }
 
     /// Answers a session's pending round, rehydrating first if parked.
     pub fn answer(&self, id: SessionId, choice_idx: usize) -> Result<()> {
-        self.ensure_resident(id)?;
-        let answered = self.manager.answer(id, choice_idx);
-        self.enforce_watermark()?;
-        answered
+        self.verb(id, |m| m.answer(id, choice_idx))
     }
 
     /// [`SessionManager::answer_timed`] with transparent rehydration.
@@ -185,24 +223,25 @@ impl SessionHost {
         choice_idx: usize,
         user_time: Duration,
     ) -> Result<()> {
-        self.ensure_resident(id)?;
-        let answered = self.manager.answer_timed(id, choice_idx, user_time);
-        self.enforce_watermark()?;
-        answered
+        self.verb(id, |m| m.answer_timed(id, choice_idx, user_time))
     }
 
     /// Rejects a session's pending round, rehydrating first if parked.
     pub fn reject(&self, id: SessionId) -> Result<()> {
-        self.ensure_resident(id)?;
-        let rejected = self.manager.reject(id);
-        self.enforce_watermark()?;
-        rejected
+        self.verb(id, |m| m.reject(id))
     }
 
     /// Parks a session: snapshots it to the store (workload payload stored
     /// once, content-addressed) and evicts the engine from memory. Parking
     /// an already-parked session is a no-op that reports the stored record.
     pub fn park(&self, id: SessionId) -> Result<ParkReceipt> {
+        let lock = self.locks.get(id);
+        let _guard = lock.lock().expect("session lock poisoned");
+        self.park_locked(id)
+    }
+
+    /// [`SessionHost::park`] for a caller already holding the session lock.
+    fn park_locked(&self, id: SessionId) -> Result<ParkReceipt> {
         let key = store_key(id);
         match self.manager.snapshot(id) {
             Ok(snapshot) => {
@@ -223,6 +262,8 @@ impl SessionHost {
     /// crash that loses the resident engine rolls the session back only to
     /// this verb boundary instead of to its last explicit park.
     pub fn checkpoint(&self, id: SessionId) -> Result<ParkReceipt> {
+        let lock = self.locks.get(id);
+        let _guard = lock.lock().expect("session lock poisoned");
         let snapshot = self.manager.snapshot(id)?;
         park_snapshot(self.store.as_ref(), &store_key(id), &snapshot).map_err(store_qfe)
     }
@@ -230,12 +271,13 @@ impl SessionHost {
     /// Ensures a session is resident, rehydrating it if parked. Returns
     /// `true` when this call brought it back from the store.
     pub fn resume(&self, id: SessionId) -> Result<bool> {
-        if self.manager.contains(id) {
-            return Ok(false);
-        }
-        self.ensure_resident(id)?;
-        self.enforce_watermark()?;
-        Ok(true)
+        let rehydrated = {
+            let lock = self.locks.get(id);
+            let _guard = lock.lock().expect("session lock poisoned");
+            self.ensure_resident(id)
+        };
+        self.enforce_watermark();
+        rehydrated
     }
 
     /// Parks every resident session, stopping early when `deadline` expires
@@ -311,9 +353,20 @@ impl SessionHost {
         Ok(ids)
     }
 
+    /// Drops a resident engine **without** parking it — a crash, as far as
+    /// this session is concerned: its stored copy (if any) is untouched.
+    /// Returns `false` when the session was not resident.
+    pub fn discard(&self, id: SessionId) -> bool {
+        let lock = self.locks.get(id);
+        let _guard = lock.lock().expect("session lock poisoned");
+        self.manager.evict(id)
+    }
+
     /// Stops hosting a session entirely: evicts the engine and deletes any
     /// parked record. Returns `false` when the id was unknown everywhere.
     pub fn evict(&self, id: SessionId) -> Result<bool> {
+        let lock = self.locks.get(id);
+        let _guard = lock.lock().expect("session lock poisoned");
         let resident = self.manager.evict(id);
         let parked = self
             .store
@@ -362,40 +415,34 @@ impl SessionHost {
         }))
     }
 
-    fn ensure_resident(&self, id: SessionId) -> Result<()> {
+    /// Rehydrates a parked session; `true` when it was not resident. The
+    /// caller holds the session lock.
+    fn ensure_resident(&self, id: SessionId) -> Result<bool> {
         if self.manager.contains(id) {
-            return Ok(());
+            return Ok(false);
         }
         let key = store_key(id);
         let snapshot = load_snapshot(self.store.as_ref(), &key)
             .map_err(store_qfe)?
             .ok_or(QfeError::UnknownSession { id: id.as_u64() })?;
-        match self.manager.restore_as(id, snapshot) {
-            Ok(()) => Ok(()),
-            // Another thread rehydrated the same session between our check
-            // and our adopt; the session is resident, which is all we need.
-            Err(QfeError::Store { .. }) if self.manager.contains(id) => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.manager.restore_as(id, snapshot)?;
+        Ok(true)
     }
 
-    fn enforce_watermark(&self) -> Result<()> {
+    /// Parks the longest-idle sessions over the watermark. Victims busy in
+    /// another request are skipped, and a victim whose park fails simply
+    /// stays resident: the request that triggered the sweep has already
+    /// committed, so its outcome must not turn into an error here.
+    fn enforce_watermark(&self) {
         let Some(max) = self.config.max_resident else {
-            return Ok(());
+            return;
         };
-        loop {
-            let idle = self.manager.idle_sessions();
-            if idle.len() <= max {
-                return Ok(());
-            }
-            for (id, _) in &idle[..idle.len() - max.min(idle.len())] {
-                match self.park(*id) {
-                    Ok(_) => {}
-                    // A concurrent request already parked or evicted it.
-                    Err(QfeError::UnknownSession { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
+        let idle = self.manager.idle_sessions();
+        for (id, _) in &idle[..idle.len().saturating_sub(max)] {
+            let lock = self.locks.get(*id);
+            if let Ok(_guard) = lock.try_lock() {
+                let _ = self.park_locked(*id);
+            };
         }
     }
 }
@@ -483,6 +530,47 @@ mod tests {
         let _ = host.step(ids[0]).unwrap();
         assert!(host.manager().contains(ids[0]));
         assert_eq!(host.resident_count(), 2);
+    }
+
+    #[test]
+    fn concurrent_verbs_survive_each_others_watermark_sweeps() {
+        // Watermark 1 under four busy threads: every verb's sweep tries to
+        // park the sessions the other threads are in the middle of using.
+        // Each verb must still find its session, and no answer may be lost
+        // (a lost answer re-presents the round it answered).
+        let host = SessionHost::open(
+            Arc::new(MemoryStore::new()),
+            HostConfig::with_max_resident(1),
+        )
+        .unwrap();
+        std::thread::scope(|scope| {
+            for thread in 0..4 {
+                let host = &host;
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        let (session, target) = session_and_target((thread + i) % 3);
+                        let oracle = OracleUser::new(target.clone());
+                        let id = host.create(&session).unwrap();
+                        let mut answered = Vec::new();
+                        loop {
+                            match host.step(id).unwrap() {
+                                Step::Done(outcome) => {
+                                    assert_eq!(outcome.query.label, target.label);
+                                    break;
+                                }
+                                Step::AwaitFeedback(round) => {
+                                    assert!(!answered.contains(&round), "an answer was lost");
+                                    host.answer(id, oracle.choose(&round).unwrap()).unwrap();
+                                    answered.push(round);
+                                }
+                            }
+                        }
+                        assert!(host.evict(id).unwrap());
+                    }
+                });
+            }
+        });
+        assert_eq!(host.resident_count(), 0);
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! on a crash. This crate provides the storage discipline for parking
 //! sessions off the heap and across process restarts:
 //!
-//! * [`SnapshotStore`] — the trait a durable backend implements, with three
-//!   implementations: [`MemoryStore`] (tests and single-process eviction),
-//!   [`LogStore`] (one append-only log file with an in-memory index, cheap
-//!   to write, survives crashes mid-record), and [`DirStore`]
-//!   (directory-per-deployment with one file per session, trivially
-//!   inspectable by operators).
+//! * [`SnapshotStore`] — the trait a backend implements, with two
+//!   implementations: [`MemoryStore`] (tests and single-process eviction)
+//!   and [`LogStore`], the one durable format (one append-only log file with
+//!   an in-memory index, cheap to write, survives crashes mid-record).
 //! * **Content addressing** — the example pair `(D, R)` of a workload is
 //!   serialized once, keyed by the hash of its canonical JSON text
 //!   ([`qfe_wire::content_hash`]), and every parked session on that workload
@@ -29,13 +27,12 @@
 //!
 //! ## Integrity and fault tolerance
 //!
-//! Both durable backends write a per-record checksum
-//! ([`qfe_wire::content_hash`] over the record identity and body) and verify
-//! it on **every** read, not just at open. A record whose bytes rot on disk
-//! is *quarantined*: dropped from service so later reads are clean misses,
-//! while the damage is reported through [`LogStore::fsck`] /
-//! [`DirStore::fsck`] as an [`FsckReport`] listing each
-//! [`QuarantinedRecord`], garbage bytes, and reclaimed temp files.
+//! [`LogStore`] writes a per-record checksum ([`qfe_wire::content_hash`]
+//! over the record identity and body) and verifies it on **every** read,
+//! not just at open. A record whose bytes rot on disk is *quarantined*:
+//! dropped from service so later reads are clean misses, while the damage
+//! is reported through [`LogStore::fsck`] as an [`FsckReport`] listing each
+//! [`QuarantinedRecord`], garbage bytes, and a torn tail.
 //!
 //! For provoking failures deterministically, [`FaultyStore`] wraps any
 //! [`SnapshotStore`] and injects faults — IO errors, torn writes, stale
@@ -51,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod dir;
 mod fault;
 mod fsck;
 mod host;
@@ -60,11 +56,11 @@ mod park;
 mod store;
 
 pub use backend::SessionBackend;
-pub use dir::DirStore;
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultTrigger, FaultyStore, InjectedFault};
 pub use fsck::{FsckReport, QuarantinedRecord};
 pub use host::{
     parse_session_store_key, session_store_key, HostConfig, ParkAllReport, SessionHost,
+    SessionLocks,
 };
 pub use log::LogStore;
 pub use park::{load_snapshot, park_snapshot, ParkReceipt};

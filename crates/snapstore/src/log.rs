@@ -240,7 +240,6 @@ impl LogStore {
             quarantined: scan.quarantined.clone(),
             torn_tail_bytes: torn_bytes,
             garbage_bytes: (text.len() as u64).saturating_sub(live_bytes + torn_bytes),
-            reclaimed_tmp_files: 0,
         };
         inner.sessions = scan.sessions;
         inner.workloads = scan.workloads;

@@ -77,7 +77,7 @@ pub trait SnapshotStore: Send + Sync + fmt::Debug {
     /// Every stored workload hash, in sorted order.
     fn workload_hashes(&self) -> StoreResult<Vec<String>>;
 
-    /// Short name of the backend (`"mem"`, `"log"`, `"dir"`, …) for the
+    /// Short name of the backend (`"mem"`, `"log"`, …) for the
     /// readiness probe and operator-facing reports.
     fn backend_name(&self) -> &'static str {
         "custom"
@@ -86,8 +86,7 @@ pub trait SnapshotStore: Send + Sync + fmt::Debug {
     /// Audits the backing storage: verifies record integrity, quarantines
     /// damage, and reports what was found. Backends without durable bytes to
     /// verify (the in-memory store) report a clean pass over their live
-    /// records; [`LogStore`](crate::LogStore) and
-    /// [`DirStore`](crate::DirStore) run their full rescans. Exposed through
+    /// records; [`LogStore`](crate::LogStore) runs its full rescan. Exposed through
     /// the trait so operators can fsck whatever store a host happens to be
     /// configured with (`qfe-server --fsck`, `GET /admin/fsck`).
     fn fsck(&self) -> StoreResult<FsckReport> {

@@ -27,8 +27,8 @@
 //!   model, Algorithms 1–4 and the interactive feedback driver.
 //! * [`datasets`] — seeded synthetic versions of the paper's evaluation
 //!   datasets and queries Q1–Q6.
-//! * [`snapstore`] — durable snapshot stores for parked sessions (in-memory,
-//!   append-only log file, directory-per-deployment), with the example pair
+//! * [`snapstore`] — snapshot stores for parked sessions (in-memory, and
+//!   the durable append-only log file), with the example pair
 //!   `(D, R)` stored once per workload under a content hash, and the
 //!   [`SessionHost`](snapstore::SessionHost) that parks idle engines under a
 //!   memory watermark and rehydrates them on demand.
@@ -143,10 +143,9 @@
 //!     --workers 8 --max-resident 512
 //! ```
 //!
-//! `--store` selects durability: `mem` (nothing survives a restart),
+//! `--store` selects durability: `mem` (nothing survives a restart) or
 //! `log:PATH` (one append-only file, index rebuilt at boot, torn trailing
-//! records truncated away), or `dir:PATH` (one JSON file per parked session —
-//! `ls`/`cat`/`rm` are your admin tools). With `--max-resident N`, the
+//! records truncated away — the one durable format). With `--max-resident N`, the
 //! longest-idle sessions park to the store automatically whenever more than
 //! `N` engines are resident; any request to a parked session transparently
 //! rehydrates it. Parked state is split: the per-session document references
@@ -181,7 +180,7 @@
 //!
 //! # …and carry on later — an explicit resume, or just step again and the
 //! # host rehydrates on demand. This works across server restarts for the
-//! # log and dir stores.
+//! # log store.
 //! curl -s -X POST localhost:7878/sessions/1/resume
 //! curl -s localhost:7878/sessions/1/step
 //!
@@ -252,12 +251,13 @@
 //! ```
 //!
 //! The headline invariant — proven in `crates/cluster/tests/fleet.rs` over
-//! all three store backends — is **placement transparency**: a session's
+//! both store backends — is **placement transparency**: a session's
 //! rounds and outcome are byte-identical whether it lives on one shard,
 //! migrates between every round, or survives a shard kill after every
-//! round. `experiments -- cluster` runs the fleet under store faults, flaky
-//! responses and a seeded shard killer, and writes `BENCH_cluster.json`;
-//! CI greps it for `"lost_sessions": 0` and `"duplicate_effects": 0`.
+//! round. `experiments -- cluster` runs the fleet under store faults and
+//! flaky responses, and at every third answered round fleet-wide migrates
+//! the answering session, kills the shard now hosting it, fails it over and
+//! restarts it; it writes `BENCH_cluster.json`, and CI greps it for `"lost_sessions": 0` and `"duplicate_effects": 0`.
 //!
 //! ## Failure modes & recovery
 //!
@@ -265,22 +265,17 @@
 //! test suite and the chaos bench; this section is the operator's map of
 //! what breaks, what the system does about it, and what is left to do.
 //!
-//! **A process dies mid-write.** Both durable stores are crash-safe at
-//! every byte offset (`tests/crashpoints.rs` kills them at each one). The
-//! log store frames one checksummed record per line — a torn trailing
-//! record is truncated away at the next open, rolling back to the previous
-//! accepted state. The dir store stages each document in a `.json.tmp`
-//! file and renames it into place; a kill before the rename leaves the old
-//! record serving and `fsck` reclaims the orphan.
+//! **A process dies mid-write.** The log store is crash-safe at every byte
+//! offset (`tests/crashpoints.rs` kills it at each one). It frames one
+//! checksummed record per line — a torn trailing record is truncated away
+//! at the next open, rolling back to the previous accepted state.
 //!
 //! **Bytes rot on disk.** Every record carries a content checksum
-//! (`c=<hash>` log fields, `#qfe-sum:` file headers) verified at open *and*
-//! on every read. A failing record is **quarantined** — dropped from the
-//! index (log) or renamed to `.quarantined` (dir) — failing only that
+//! (a `c=<hash>` log field) verified at open *and* on every read. A failing
+//! record is **quarantined** — dropped from the index — failing only that
 //! record's session while the previous good version of the key, if any,
-//! keeps serving. [`LogStore::fsck`](snapstore::LogStore::fsck) /
-//! [`DirStore::fsck`](snapstore::DirStore::fsck) rescan everything and
-//! return an [`FsckReport`](snapstore::FsckReport): live counts, quarantined
+//! keeps serving. [`LogStore::fsck`](snapstore::LogStore::fsck) rescans
+//! everything and returns an [`FsckReport`](snapstore::FsckReport): live counts, quarantined
 //! records with reasons, torn-tail and garbage bytes. Records from before
 //! the checksum era still serve, just unverified.
 //!
@@ -343,7 +338,7 @@ pub mod prelude {
     pub use qfe_relation::{DataType, Database, ForeignKey, Table, TableSchema, Tuple, Value};
     pub use qfe_server::{serve, HttpClient, ServerConfig, ServiceState};
     pub use qfe_snapstore::{
-        DirStore, HostConfig, LogStore, MemoryStore, SessionBackend, SessionHost, SnapshotStore,
+        HostConfig, LogStore, MemoryStore, SessionBackend, SessionHost, SnapshotStore,
     };
     pub use qfe_wire::{FromJson, Json, ToJson};
 }

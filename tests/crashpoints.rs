@@ -1,17 +1,14 @@
-//! Crash-point matrix for the durable stores.
+//! Crash-point matrix for the durable store.
 //!
 //! Simulates a process kill at **every byte offset** of a record write and
-//! asserts the recovery invariant the stores promise: reopening yields
+//! asserts the recovery invariant the store promises: reopening yields
 //! either the pre-write or the post-write state — an accepted record is
 //! never served corrupt — and a parked session recovered from the store
 //! resumes byte-identically.
 //!
 //! `LogStore` appends one framed line per record, so a kill mid-write is a
 //! file truncated inside that line; the matrix truncates the log at every
-//! offset of the final append. `DirStore` stages writes in a `.json.tmp`
-//! file renamed into place, so a kill mid-write leaves a partial temp file
-//! and the rename is the atomic commit point; the matrix materializes every
-//! temp-file prefix.
+//! offset of the final append.
 
 use std::path::PathBuf;
 
@@ -128,51 +125,4 @@ fn parked_session_survives_every_kill_offset_and_resumes_byte_identically() {
             "resumed engine must re-serialize to the recovered bytes"
         );
     }
-}
-
-#[test]
-fn dir_store_killed_at_every_tmp_offset_keeps_the_old_record() {
-    let root = temp_dir("dir-matrix");
-    {
-        let store = DirStore::open(&root).unwrap();
-        store.put_session("s1", "{\"v\":\"pre\"}").unwrap();
-    }
-
-    // What a replacement write stages before its rename: capture the staged
-    // bytes by performing the same write in a scratch store.
-    let scratch = temp_dir("dir-matrix-scratch");
-    let staged = {
-        let store = DirStore::open(&scratch).unwrap();
-        store.put_session("s1", "{\"v\":\"post\"}").unwrap();
-        std::fs::read(scratch.join("sessions").join("s1.json")).unwrap()
-    };
-
-    let tmp = root.join("sessions").join("s1.json.tmp");
-    for cut in 0..staged.len() {
-        // Kill mid-write: a partial temp file, rename never happened.
-        std::fs::write(&tmp, &staged[..cut]).unwrap();
-        let store = DirStore::open(&root).unwrap();
-        assert_eq!(
-            store.get_session("s1").unwrap().unwrap(),
-            "{\"v\":\"pre\"}",
-            "kill at tmp offset {cut}: the old record must keep serving"
-        );
-        // Recovery reclaims the orphaned temp file.
-        let report = store.fsck().unwrap();
-        assert_eq!(report.reclaimed_tmp_files, 1, "offset {cut}");
-        assert!(report.quarantined.is_empty(), "offset {cut}: {report}");
-        assert!(!tmp.exists(), "fsck removes the orphan");
-    }
-
-    // The commit point: temp file fully written and renamed into place —
-    // the new record is visible, verified, and nothing needs reclaiming.
-    std::fs::write(&tmp, &staged).unwrap();
-    std::fs::rename(&tmp, root.join("sessions").join("s1.json")).unwrap();
-    let store = DirStore::open(&root).unwrap();
-    assert_eq!(
-        store.get_session("s1").unwrap().unwrap(),
-        "{\"v\":\"post\"}"
-    );
-    let report = store.fsck().unwrap();
-    assert!(report.is_clean(), "{report}");
 }

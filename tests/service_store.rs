@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use qfe::prelude::*;
-use qfe::snapstore::{DirStore, LogStore, MemoryStore};
+use qfe::snapstore::{LogStore, MemoryStore};
 use qfe_wire::ToJson;
 
 fn temp_root(name: &str) -> PathBuf {
@@ -114,15 +114,6 @@ fn log_store_roundtrip_across_process_restart() {
     let reopen_path = path.clone();
     park_restart_resume_is_byte_identical(Arc::new(LogStore::open(&path).unwrap()), move || {
         Arc::new(LogStore::open(&reopen_path).unwrap())
-    });
-}
-
-#[test]
-fn dir_store_roundtrip_across_process_restart() {
-    let root = temp_root("dir");
-    let reopen_root = root.clone();
-    park_restart_resume_is_byte_identical(Arc::new(DirStore::open(&root).unwrap()), move || {
-        Arc::new(DirStore::open(&reopen_root).unwrap())
     });
 }
 
