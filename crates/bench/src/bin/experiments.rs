@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p qfe-bench --bin experiments --release -- [all|table1|…|table7|initial-size|entropy|user-study|ablation|manager|qbo-batch|skyline-parallel|rounds|service|chaos|cluster] [--paper-scale] [--fleet-sessions N]
+//! cargo run -p qfe-bench --bin experiments --release -- [all|table1|…|table7|initial-size|entropy|user-study|ablation|manager|qbo-batch|rounds|service|chaos|cluster] [--paper-scale] [--fleet-sessions N]
 //! ```
 //!
 //! The default scale is `Small` (reduced cardinalities, runs in seconds);
@@ -13,8 +13,7 @@
 use qfe_bench::{
     ablation_estimator, extra_entropy, extra_initial_size, fleet_json, manager_report,
     qbo_batch_json, qbo_batch_measurements, qbo_batch_report, rounds_json, rounds_measurements,
-    rounds_report, run_fleet, skyline_parallel_json, skyline_parallel_report,
-    skyline_parallel_rows, table1, table2, table3, table4, table5, table6, table7, user_study,
+    rounds_report, run_fleet, table1, table2, table3, table4, table5, table6, table7, user_study,
     FleetConfig, Scale, Scenario,
 };
 
@@ -90,20 +89,10 @@ fn main() {
         println!("{}", manager_report());
     }
     if want("qbo-batch") {
-        let (rows, join_rows) = qbo_batch_measurements(scale, 80, 3);
-        println!("{}", qbo_batch_report(&rows, join_rows));
-        let json = qbo_batch_json(scale, &rows, join_rows);
+        let (measurement, join_rows) = qbo_batch_measurements(scale, 80, 3);
+        println!("{}", qbo_batch_report(&measurement, join_rows));
+        let json = qbo_batch_json(scale, &measurement, join_rows);
         let path = "BENCH_qbo.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    if want("skyline-parallel") {
-        let rows = skyline_parallel_rows(scale, &[1, 2, 4, 8], 3);
-        println!("{}", skyline_parallel_report(&rows));
-        let json = skyline_parallel_json(scale, &rows);
-        let path = "BENCH_skyline.json";
         match std::fs::write(path, &json) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),

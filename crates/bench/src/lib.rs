@@ -26,7 +26,7 @@ use qfe_datasets::{
     adult_scaled, baseball_scaled, entropy_variants, initial_size_variants, scientific_scaled,
     Workload,
 };
-use qfe_qbo::{grow_candidates, grow_candidates_mode, QboConfig, QueryGenerator, VerifyStats};
+use qfe_qbo::{grow_candidates, QboConfig, QueryGenerator, VerifyStats};
 use qfe_query::{evaluate, QueryResult, SpjQuery};
 use qfe_relation::{Database, Value};
 
@@ -765,143 +765,15 @@ pub fn ablation_estimator(scale: Scale) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel skyline scaling
-// ---------------------------------------------------------------------------
-
-/// One row of the parallel-skyline scaling measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct SkylineScalingRow {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Best-of-N wall-clock seconds for the enumeration.
-    pub seconds: f64,
-    /// (STC, DTC) pairs examined.
-    pub enumerated: usize,
-    /// Skyline pairs kept.
-    pub pairs: usize,
-}
-
-/// Builds the table5 (scientific, Q2, 19 candidates) generation context used
-/// by the skyline scaling measurements.
-pub fn skyline_scaling_context(scale: Scale) -> GenerationContext {
-    let workload = scale.scientific();
-    let target = workload.query("Q2").expect("query").clone();
-    let result = workload.example_result("Q2").expect("result");
-    let candidates = candidates_for(&workload.database, &target, 19);
-    GenerationContext::new(&workload.database, &result, &candidates).expect("context builds")
-}
-
-/// Measures Algorithm 3 at the given worker counts on the table5 workload.
-///
-/// Every run uses the same generous δ so the full cost-level-1..2 enumeration
-/// completes (the result is identical at every thread count — the parallel
-/// merge is deterministic); each row is the best of `repeats` runs.
-pub fn skyline_parallel_rows(
-    scale: Scale,
-    thread_counts: &[usize],
-    repeats: usize,
-) -> Vec<SkylineScalingRow> {
-    use qfe_core::skyline_stc_dtc_pairs_with_threads;
-    let ctx = skyline_scaling_context(scale);
-    let budget = Duration::from_secs(120);
-    let mut rows = Vec::new();
-    for &threads in thread_counts {
-        let mut best = f64::INFINITY;
-        let mut enumerated = 0;
-        let mut pairs = 0;
-        for _ in 0..repeats.max(1) {
-            let start = std::time::Instant::now();
-            let outcome = skyline_stc_dtc_pairs_with_threads(&ctx, budget, threads);
-            let secs = start.elapsed().as_secs_f64();
-            if secs < best {
-                best = secs;
-            }
-            enumerated = outcome.enumerated;
-            pairs = outcome.pairs.len();
-        }
-        rows.push(SkylineScalingRow {
-            threads,
-            seconds: best,
-            enumerated,
-            pairs,
-        });
-    }
-    rows
-}
-
-/// Human-readable parallel-skyline scaling table.
-pub fn skyline_parallel_report(rows: &[SkylineScalingRow]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Parallel skyline scaling (scientific, Q2, 19 candidates; full enumeration)"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{:<9} {:>12} {:>12} {:>10} {:>9}",
-        "threads", "time (s)", "pairs seen", "kept", "speedup"
-    )
-    .unwrap();
-    let base = rows.first().map(|r| r.seconds).unwrap_or(0.0);
-    for r in rows {
-        writeln!(
-            out,
-            "{:<9} {:>12.4} {:>12} {:>10} {:>8.2}x",
-            r.threads,
-            r.seconds,
-            r.enumerated,
-            r.pairs,
-            base / r.seconds.max(1e-12)
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// The parallel-skyline scaling measurement as a JSON document
-/// (`BENCH_skyline.json`), so future revisions can track the perf trajectory.
-pub fn skyline_parallel_json(scale: Scale, rows: &[SkylineScalingRow]) -> String {
-    let base = rows.first().map(|r| r.seconds).unwrap_or(0.0);
-    let mut out = String::new();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"skyline-parallel\",\n");
-    out.push_str("  \"workload\": \"scientific-q2-19-candidates\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
-    out.push_str("  \"rows\": [\n");
-    let n = rows.len();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"seconds\": {:.6}, \"enumerated\": {}, \"kept\": {}, \"speedup\": {:.3}}}{}\n",
-            r.threads,
-            r.seconds,
-            r.enumerated,
-            r.pairs,
-            base / r.seconds.max(1e-12),
-            if i + 1 == n { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// QBO batched candidate verification (columnar vs. row)
+// QBO batched candidate verification
 // ---------------------------------------------------------------------------
 
 /// One measured QBO generate-and-verify run.
 #[derive(Debug, Clone)]
 pub struct QboBatchMeasurement {
-    /// `"row"` (per-candidate row evaluation, the pre-columnar baseline) or
-    /// `"columnar"` (batched bitmap verification).
-    pub mode: &'static str,
     /// Best-of-N wall-clock seconds for the full generate + grow pipeline.
     pub seconds: f64,
-    /// Candidates produced (identical across modes, asserted by the caller).
+    /// Candidates produced.
     pub candidates: usize,
     /// Verification counters of the generation stage.
     pub stats: VerifyStats,
@@ -916,88 +788,57 @@ impl QboBatchMeasurement {
 
 /// The QBO generate-and-verify workload of the `qbo-batch` scenario: the
 /// table5 setup (scientific database, Q2), generating candidates and growing
-/// them by constant/operator mutation to `want` total.
-///
-/// Returns the per-mode measurements (row baseline first) plus the join row
-/// count. Panics if the two modes disagree on the candidate set — the
-/// columnar path must be a pure performance change.
+/// them by constant/operator mutation to `want` total, verified through
+/// `qfe_qbo::BatchVerifier`. Returns the best-of-`repeats` measurement plus
+/// the join row count.
 pub fn qbo_batch_measurements(
     scale: Scale,
     want: usize,
     repeats: usize,
-) -> (Vec<QboBatchMeasurement>, usize) {
+) -> (QboBatchMeasurement, usize) {
     let workload = scale.scientific();
     let target = workload.query("Q2").expect("query").clone();
     let result = workload.example_result("Q2").expect("result");
     let join_rows = qfe_relation::foreign_key_join(&workload.database, &target.tables)
         .map(|j| j.len())
         .unwrap_or(0);
-
-    let run = |columnar: bool| -> (f64, Vec<SpjQuery>, VerifyStats) {
-        let config = QboConfig {
-            max_join_tables: target.tables.len().max(1),
-            columnar_verify: columnar,
-            ..QboConfig::default()
-        };
-        let generator = QueryGenerator::new(config);
-        let mut best = f64::INFINITY;
-        let mut candidates = Vec::new();
-        let mut stats = VerifyStats::default();
-        for _ in 0..repeats.max(1) {
-            let start = std::time::Instant::now();
-            let (base, s) = generator
-                .generate_with_stats(&workload.database, &result)
-                .expect("candidate generation");
-            let grown = if base.len() < want {
-                grow_candidates_mode(&workload.database, &result, &base, want, columnar)
-                    .expect("candidate growth")
-            } else {
-                base
-            };
-            let secs = start.elapsed().as_secs_f64();
-            if secs < best {
-                best = secs;
-            }
-            candidates = grown;
-            stats = s;
-        }
-        (best, candidates, stats)
+    let generator = QueryGenerator::new(QboConfig {
+        max_join_tables: target.tables.len().max(1),
+        ..QboConfig::default()
+    });
+    let mut best = QboBatchMeasurement {
+        seconds: f64::INFINITY,
+        candidates: 0,
+        stats: VerifyStats::default(),
     };
-
-    let (row_secs, row_candidates, row_stats) = run(false);
-    let (col_secs, col_candidates, col_stats) = run(true);
-    let sql = |qs: &[SpjQuery]| qs.iter().map(|q| q.to_string()).collect::<Vec<_>>();
-    assert_eq!(
-        sql(&row_candidates),
-        sql(&col_candidates),
-        "columnar and row verification must accept byte-identical candidate sets"
-    );
-
-    (
-        vec![
-            QboBatchMeasurement {
-                mode: "row",
-                seconds: row_secs,
-                candidates: row_candidates.len(),
-                stats: row_stats,
-            },
-            QboBatchMeasurement {
-                mode: "columnar",
-                seconds: col_secs,
-                candidates: col_candidates.len(),
-                stats: col_stats,
-            },
-        ],
-        join_rows,
-    )
+    for _ in 0..repeats.max(1) {
+        let start = std::time::Instant::now();
+        let (base, stats) = generator
+            .generate_with_stats(&workload.database, &result)
+            .expect("candidate generation");
+        let grown = if base.len() < want {
+            grow_candidates(&workload.database, &result, &base, want).expect("candidate growth")
+        } else {
+            base
+        };
+        let seconds = start.elapsed().as_secs_f64();
+        if seconds < best.seconds {
+            best = QboBatchMeasurement {
+                seconds,
+                candidates: grown.len(),
+                stats,
+            };
+        }
+    }
+    (best, join_rows)
 }
 
 /// Human-readable `qbo-batch` table.
-pub fn qbo_batch_report(rows: &[QboBatchMeasurement], join_rows: usize) -> String {
+pub fn qbo_batch_report(m: &QboBatchMeasurement, join_rows: usize) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "QBO generate-and-verify, columnar batch vs. row baseline (scientific, Q2, {join_rows} join rows)"
+        "QBO generate-and-verify, batched columnar verification (scientific, Q2, {join_rows} join rows)"
     )
     .unwrap();
     writeln!(
@@ -1007,40 +848,27 @@ pub fn qbo_batch_report(rows: &[QboBatchMeasurement], join_rows: usize) -> Strin
     .unwrap();
     writeln!(
         out,
-        "{:<10} {:>10} {:>12} {:>12} {:>14} {:>12} {:>10} {:>9}",
-        "mode",
-        "time (s)",
-        "candidates",
-        "cand/sec",
-        "rows scanned",
-        "checked",
-        "sig hits",
-        "speedup"
+        "{:>10} {:>12} {:>12} {:>14} {:>12} {:>10}",
+        "time (s)", "candidates", "cand/sec", "rows scanned", "checked", "sig hits"
     )
     .unwrap();
-    let base = rows.first().map(|r| r.seconds).unwrap_or(0.0);
-    for r in rows {
-        writeln!(
-            out,
-            "{:<10} {:>10.4} {:>12} {:>12.0} {:>14} {:>12} {:>10} {:>8.2}x",
-            r.mode,
-            r.seconds,
-            r.candidates,
-            r.candidates_per_sec(),
-            r.stats.rows_scanned,
-            r.stats.candidates_checked,
-            r.stats.signature_hits,
-            base / r.seconds.max(1e-12)
-        )
-        .unwrap();
-    }
+    writeln!(
+        out,
+        "{:>10.4} {:>12} {:>12.0} {:>14} {:>12} {:>10}",
+        m.seconds,
+        m.candidates,
+        m.candidates_per_sec(),
+        m.stats.rows_scanned,
+        m.stats.candidates_checked,
+        m.stats.signature_hits
+    )
+    .unwrap();
     out
 }
 
 /// The `qbo-batch` measurement as a JSON document (`BENCH_qbo.json`), so
 /// future revisions can track the perf trajectory.
-pub fn qbo_batch_json(scale: Scale, rows: &[QboBatchMeasurement], join_rows: usize) -> String {
-    let base = rows.first().map(|r| r.seconds).unwrap_or(0.0);
+pub fn qbo_batch_json(scale: Scale, m: &QboBatchMeasurement, join_rows: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"qbo-batch\",\n");
@@ -1052,25 +880,19 @@ pub fn qbo_batch_json(scale: Scale, rows: &[QboBatchMeasurement], join_rows: usi
     // are per-join and not aggregated here).
     out.push_str("  \"stats_scope\": \"generate-stage\",\n");
     out.push_str("  \"modes\": [\n");
-    let n = rows.len();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"seconds\": {:.6}, \"candidates\": {}, \"candidates_per_sec\": {:.1}, \"generate_rows_scanned\": {}, \"generate_candidates_checked\": {}, \"generate_signature_hits\": {}, \"generate_term_bitmap_hits\": {}, \"generate_term_bitmap_misses\": {}, \"generate_term_bitmap_repairs\": {}, \"generate_term_bitmap_invalidations\": {}, \"speedup\": {:.3}}}{}\n",
-            r.mode,
-            r.seconds,
-            r.candidates,
-            r.candidates_per_sec(),
-            r.stats.rows_scanned,
-            r.stats.candidates_checked,
-            r.stats.signature_hits,
-            r.stats.term_bitmap_hits,
-            r.stats.term_bitmap_misses,
-            r.stats.term_bitmap_repairs,
-            r.stats.term_bitmap_invalidations,
-            base / r.seconds.max(1e-12),
-            if i + 1 == n { "" } else { "," }
-        ));
-    }
+    out.push_str(&format!(
+        "    {{\"mode\": \"columnar\", \"seconds\": {:.6}, \"candidates\": {}, \"candidates_per_sec\": {:.1}, \"generate_rows_scanned\": {}, \"generate_candidates_checked\": {}, \"generate_signature_hits\": {}, \"generate_term_bitmap_hits\": {}, \"generate_term_bitmap_misses\": {}, \"generate_term_bitmap_repairs\": {}, \"generate_term_bitmap_invalidations\": {}}}\n",
+        m.seconds,
+        m.candidates,
+        m.candidates_per_sec(),
+        m.stats.rows_scanned,
+        m.stats.candidates_checked,
+        m.stats.signature_hits,
+        m.stats.term_bitmap_hits,
+        m.stats.term_bitmap_misses,
+        m.stats.term_bitmap_repairs,
+        m.stats.term_bitmap_invalidations,
+    ));
     out.push_str("  ]\n}\n");
     out
 }

@@ -12,8 +12,7 @@
 //! * **Bit-packed reasoning.** Class/candidate matching and outcome
 //!   signatures run on the [`OutcomeKernel`]'s interned class ids and
 //!   per-class match bitsets — branch-light word operations with no interior
-//!   mutability, which makes the context `Sync` and lets the skyline search
-//!   fan out across threads.
+//!   mutability, which makes the context `Sync`.
 //! * **Incremental advancement.** Between feedback rounds the candidate set
 //!   only shrinks and `D` changes only by explicitly applied cell edits;
 //!   [`GenerationContext::advance`] derives the next round's context from the
@@ -33,18 +32,6 @@ use crate::cost::balance_score;
 use crate::error::{QfeError, Result};
 use crate::kernel::{KernelReuse, MatchScratch, OutcomeKernel, PairStats};
 use crate::tuple_class::{TupleClass, TupleClassSpace};
-
-/// Process-wide count of [`GenerationContext::advance`] calls that fell back
-/// to a full rebuild because a cell edit touched a key column.
-static FULL_REBUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of `advance` full-rebuild fallbacks (edits touching
-/// primary- or foreign-key columns). A steadily climbing counter in a
-/// workload that should stay on the delta path signals a regression; set the
-/// `QFE_LOG_REBUILD` environment variable to also log each occurrence.
-pub fn advance_full_rebuilds() -> u64 {
-    FULL_REBUILDS.load(Ordering::Relaxed)
-}
 
 /// Advances sampled by the `QFE_PARANOIA` self-check mode.
 static PARANOIA_CHECKS: AtomicU64 = AtomicU64::new(0);
@@ -158,8 +145,7 @@ pub enum Outcome {
 /// Per-iteration state shared by the skyline search (Algorithm 3), the subset
 /// selection (Algorithm 4) and the realization of modifications.
 ///
-/// The context is immutable after construction and `Sync`: the parallel
-/// skyline enumeration shares one context across worker threads.
+/// The context is immutable after construction and `Sync`.
 #[derive(Debug)]
 pub struct GenerationContext {
     db: Arc<Database>,
@@ -384,13 +370,6 @@ impl GenerationContext {
             .iter()
             .any(|e| is_key_column(&self.db, &e.table, &e.column))
         {
-            FULL_REBUILDS.fetch_add(1, Ordering::Relaxed);
-            if std::env::var_os("QFE_LOG_REBUILD").is_some() {
-                eprintln!(
-                    "qfe: advance fell back to a full rebuild (key-column edit; total {})",
-                    advance_full_rebuilds()
-                );
-            }
             let db = crate::realize::apply_edits(&self.db, edits)?;
             let context =
                 Self::new_shared(Arc::new(db), Arc::clone(&self.original_result), queries)?;
@@ -1339,8 +1318,7 @@ mod tests {
             report.cell_deltas[0].epoch
         );
 
-        // A key-column edit forces the audited full-rebuild fallback.
-        let before = advance_full_rebuilds();
+        // A key-column edit forces the full-rebuild fallback.
         let key_edit = vec![crate::realize::CellEdit {
             table: "Employee".to_string(),
             row: 1,
@@ -1350,7 +1328,6 @@ mod tests {
         let (_, report) = ctx.advance_with_report(&[0, 1, 2], &key_edit).unwrap();
         assert_eq!(report.path, AdvancePath::FullRebuild);
         assert_eq!(report.kernel, KernelReuse::Rebuilt);
-        assert_eq!(advance_full_rebuilds(), before + 1);
     }
 
     #[test]

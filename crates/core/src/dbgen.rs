@@ -89,28 +89,16 @@ impl DatabaseGenerator {
     /// Runs Algorithm 2 for the round *after* `previous`: the context is
     /// derived incrementally via [`GenerationContext::advance`] (shared join,
     /// join index and domain caches; remapped source classes) instead of
-    /// being recomputed from the database. `surviving` are the candidate
-    /// indices kept by the user's answer; `edits` any cell edits applied to
-    /// `D` since `previous` was built (empty in the standard loop).
+    /// being recomputed from the database, and the skyline enumeration serves
+    /// unchanged `(cost level, source class)` cells from the cross-round
+    /// [`SkylineMemo`]. `surviving` are the candidate indices kept by the
+    /// user's answer; `edits` any cell edits applied to `D` since `previous`
+    /// was built (empty in the standard loop). The result is identical to
+    /// [`Self::generate`] on the advanced context whenever the skyline
+    /// enumeration completes within its budget.
     ///
     /// Returns the advanced context alongside the generation result so the
     /// caller can keep it for the next round.
-    pub fn generate_incremental(
-        &self,
-        previous: &GenerationContext,
-        surviving: &[usize],
-        edits: &[crate::realize::CellEdit],
-    ) -> Result<(std::sync::Arc<GenerationContext>, GeneratedDatabase)> {
-        let ctx = std::sync::Arc::new(previous.advance(surviving, edits)?);
-        let generated = self.generate_with_context(&ctx)?;
-        Ok((ctx, generated))
-    }
-
-    /// [`Self::generate_incremental`] with a cross-round [`SkylineMemo`]:
-    /// the successor context is derived differentially and the skyline
-    /// enumeration serves unchanged `(cost level, source class)` cells from
-    /// the memo. The result is identical to [`Self::generate_incremental`]
-    /// whenever the skyline enumeration completes within its budget.
     pub fn generate_incremental_memoized(
         &self,
         previous: &GenerationContext,

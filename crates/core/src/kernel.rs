@@ -23,8 +23,8 @@
 //!   change a projected column?" without consulting the column sets.
 //!
 //! Everything is immutable after construction, so the kernel — and with it
-//! the whole `GenerationContext` — is `Sync` and can be shared across the
-//! skyline worker threads without locks.
+//! the whole `GenerationContext` — is `Sync` and can be shared across
+//! threads without locks.
 
 use std::collections::BTreeSet;
 

@@ -28,7 +28,7 @@
 //! thinks, serializes to a [`SessionSnapshot`] for cross-process resume, and
 //! scales to many concurrent users behind a [`SessionManager`].
 //!
-//! ## The generation kernel: bitsets, threads, incremental contexts
+//! ## The generation kernel: bitsets, memos, incremental contexts
 //!
 //! The per-round hot path (Algorithms 3–4) runs on a dense bit-packed kernel
 //! prepared once per [`GenerationContext`]:
@@ -40,21 +40,11 @@
 //!   block)` conjunct bitsets otherwise. Outcome signatures (Lemma 5.1) pack
 //!   into 2 bits per pair and partition sizes come from popcounts. There is
 //!   no interior mutability: `GenerationContext` is `Sync`.
-//! * **Parallel skyline.** [`skyline_stc_dtc_pairs`] shards Algorithm 3 over
-//!   `(cost level, source class)` tasks with `std::thread::scope` under a
-//!   shared atomic deadline, then merges per-source results deterministically
-//!   — whenever the enumeration completes within the δ budget, the parallel
-//!   outcome is byte-identical to the sequential one at every thread count
-//!   (timed-out runs are best-effort, as sequentially). Skewed class spaces
-//!   — few sources, huge per-source fan-out — are *sub-source sharded*:
-//!   when the (level, source) grid cannot keep every worker four tasks deep,
-//!   each cell splits into contiguous changed-attribute combination ranges
-//!   whose shard results merge back in enumeration order, preserving the
-//!   deterministic outcome. Threading knobs: the worker count defaults to
-//!   `std::thread::available_parallelism` (capped by the task grid), can be
-//!   pinned with [`skyline_stc_dtc_pairs_with_threads`], and is overridable
-//!   process-wide with the `QFE_SKYLINE_THREADS` environment variable. The δ
-//!   budget is checked against a precomputed deadline at an adaptive interval
+//! * **Skyline with a cross-round memo.** [`skyline_stc_dtc_pairs`] is the
+//!   sequential Algorithm 3 reference; the engine runs
+//!   [`skyline_stc_dtc_pairs_memoized`], which is byte-identical to it
+//!   whenever the enumeration completes within the δ budget. The budget is
+//!   checked against a precomputed deadline at an adaptive interval
 //!   (tightening past 80% of the budget) so overshoot stays bounded.
 //! * **Columnar join mirror.** Every [`GenerationContext`] carries a
 //!   [`qfe_relation::ColumnarJoin`] — typed `i64`/`f64`/bool vectors,
@@ -99,8 +89,8 @@
 //!   are re-enumerated. [`GenerationContext::advance_with_report`] returns
 //!   an [`AdvanceReport`] naming the tier taken ([`AdvancePath`]) plus the
 //!   deltas; key-column edits (which change the join structure) fall back to
-//!   a counted full rebuild ([`advance_full_rebuilds`], log it with
-//!   `QFE_LOG_REBUILD=1`) that still `Arc`-shares untouched tables. Every
+//!   a full rebuild ([`AdvancePath::FullRebuild`]) that still `Arc`-shares
+//!   untouched tables. Every
 //!   fast path is byte-identical to a fresh rebuild — property-tested across
 //!   random multi-round edit sequences.
 //!
@@ -210,8 +200,8 @@ mod tuple_class;
 
 pub use alt_cost::AltCostModel;
 pub use context::{
-    advance_full_rebuilds, paranoia_checks, paranoia_mismatches, AdvancePath, AdvanceReport,
-    ClassPair, GenerationContext, Outcome,
+    paranoia_checks, paranoia_mismatches, AdvancePath, AdvanceReport, ClassPair, GenerationContext,
+    Outcome,
 };
 pub use cost::{
     balance_score, estimate_iterations, objective, user_effort_cost, CostInputs, CostModelKind,
@@ -241,8 +231,7 @@ pub use realize::{
 pub use serial::WorkloadPayload;
 pub use set_semantics::{all_set_semantics, mixed_semantics, with_set_semantics};
 pub use skyline::{
-    skyline_stc_dtc_pairs, skyline_stc_dtc_pairs_memoized, skyline_stc_dtc_pairs_with_threads,
-    SkylineMemo, SkylineOutcome,
+    skyline_stc_dtc_pairs, skyline_stc_dtc_pairs_memoized, SkylineMemo, SkylineOutcome,
 };
 pub use stats::{IterationStats, SessionReport};
 pub use tuple_class::{SelectionAttribute, TupleClass, TupleClassSpace};

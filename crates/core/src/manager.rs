@@ -141,24 +141,29 @@ impl SessionManager {
             .ok_or(QfeError::UnknownSession { id: id.0 })
     }
 
-    /// Advances a session: [`QfeEngine::step`] through the handle.
-    pub fn step(&self, id: SessionId) -> Result<Step> {
+    /// Runs one verb on a hosted engine. The idle clock is stamped before the
+    /// verb (a session mid-verb is not idle) and again after it, so idle time
+    /// counts from the end of the last verb, however long that verb ran.
+    fn touched<T>(
+        &self,
+        id: SessionId,
+        verb: impl FnOnce(&mut QfeEngine) -> Result<T>,
+    ) -> Result<T> {
         let hosted = self.hosted(id)?;
         hosted.touch();
-        let step = hosted.engine.lock().expect("engine lock poisoned").step();
-        step
+        let out = verb(&mut hosted.engine.lock().expect("engine lock poisoned"));
+        hosted.touch();
+        out
+    }
+
+    /// Advances a session: [`QfeEngine::step`] through the handle.
+    pub fn step(&self, id: SessionId) -> Result<Step> {
+        self.touched(id, QfeEngine::step)
     }
 
     /// Answers a session's pending round: [`QfeEngine::answer`].
     pub fn answer(&self, id: SessionId, choice_idx: usize) -> Result<()> {
-        let hosted = self.hosted(id)?;
-        hosted.touch();
-        let answered = hosted
-            .engine
-            .lock()
-            .expect("engine lock poisoned")
-            .answer(choice_idx);
-        answered
+        self.touched(id, |engine| engine.answer(choice_idx))
     }
 
     /// [`QfeEngine::answer_timed`] through the handle.
@@ -168,23 +173,13 @@ impl SessionManager {
         choice_idx: usize,
         user_time: Duration,
     ) -> Result<()> {
-        let hosted = self.hosted(id)?;
-        hosted.touch();
-        let answered = hosted
-            .engine
-            .lock()
-            .expect("engine lock poisoned")
-            .answer_timed(choice_idx, user_time);
-        answered
+        self.touched(id, |engine| engine.answer_timed(choice_idx, user_time))
     }
 
     /// Reports "none of these" for a session's pending round:
     /// [`QfeEngine::reject`].
     pub fn reject(&self, id: SessionId) -> Result<()> {
-        let hosted = self.hosted(id)?;
-        hosted.touch();
-        let rejected = hosted.engine.lock().expect("engine lock poisoned").reject();
-        rejected
+        self.touched(id, QfeEngine::reject)
     }
 
     /// Externalizes a session's state: [`QfeEngine::snapshot`]. The session

@@ -7,47 +7,23 @@
 //! threshold δ is exhausted, returning everything collected up to that point
 //! (the paper's Section 5.3).
 //!
-//! # Parallel enumeration
-//!
-//! The enumeration is embarrassingly parallel over source classes: each
-//! worker owns its own match-bitset scratch buffers and walks a disjoint set
-//! of sources (work-stealing over a shared atomic cursor), all sharing one
-//! immutable [`GenerationContext`] (`Sync` thanks to the bitset kernel).
-//! Per-source results are merged *in source order* with the exact rules the
-//! sequential loop applies, so whenever the enumeration completes within the
-//! δ budget (`timed_out == false`) the parallel outcome — `pairs` order,
-//! `min_balance`, `best_binary_x` — is byte-identical to the sequential one.
-//! A timed-out run stops at whichever tasks the workers happened to reach, so
-//! its (best-effort) result depends on timing and thread count, exactly as a
-//! timed-out sequential run depends on timing.
-//! [`skyline_stc_dtc_pairs`] picks the worker count from
-//! `std::thread::available_parallelism` (overridable with the
-//! `QFE_SKYLINE_THREADS` environment variable);
-//! [`skyline_stc_dtc_pairs_with_threads`] pins it explicitly.
-//!
-//! **Sub-source sharding.** Skewed class spaces — few source classes, each
-//! with a huge destination fan-out — would leave workers idle if tasks only
-//! split at (cost level, source class). When the (level, source) task count
-//! cannot keep every worker busy ([`SHARD_OVERSUBSCRIPTION`]-fold), each
-//! task is further split into contiguous ranges of changed-attribute
-//! *combinations* (the outer dimension of the destination enumeration, see
-//! [`TupleClassSpace::for_each_destination_class_in_combos`](crate::TupleClassSpace::for_each_destination_class_in_combos)).
-//! Shard results are merged back in combination order with the same
-//! running-minimum rules before the cross-source merge, so the outcome stays
-//! byte-identical to the sequential one at any thread count.
+//! [`skyline_stc_dtc_pairs`] is the plain sequential enumeration and the
+//! reference; [`skyline_stc_dtc_pairs_memoized`] is the path the engine runs.
+//! It serves each `(cost level, source class)` cell from a cross-round
+//! [`SkylineMemo`] when it can, and whenever the enumeration completes within
+//! the δ budget its outcome — `pairs` order, `min_balance`, `best_binary_x`,
+//! `enumerated` — is byte-identical to the sequential one.
 //!
 //! # Deadline handling
 //!
-//! The δ budget is enforced against a precomputed `Instant` deadline shared
-//! through an atomic flag: once one worker observes the deadline, every
-//! worker stops at its next check. Workers re-check the clock every
-//! [`TIME_CHECK_INTERVAL`] examined pairs while far from the deadline and
-//! every [`NEAR_DEADLINE_CHECK_INTERVAL`] pairs once past ~80% of the budget,
+//! The δ budget is enforced against a precomputed `Instant` deadline. The
+//! enumeration re-checks the clock every [`TIME_CHECK_INTERVAL`] examined
+//! pairs while far from the deadline and every
+//! [`NEAR_DEADLINE_CHECK_INTERVAL`] pairs once past ~80% of the budget,
 //! which keeps the δ overshoot bounded even when individual pairs are cheap.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use qfe_query::SpjQuery;
@@ -72,8 +48,6 @@ pub struct SkylineOutcome {
     pub elapsed: Duration,
     /// Whether enumeration stopped because the time threshold δ was reached.
     pub timed_out: bool,
-    /// Number of worker threads used (1 = sequential).
-    pub threads: usize,
 }
 
 /// How often (in examined pairs) the time budget is re-checked while far from
@@ -84,72 +58,48 @@ const TIME_CHECK_INTERVAL: usize = 64;
 /// δ overshoot.
 const NEAR_DEADLINE_CHECK_INTERVAL: usize = 8;
 
-/// How many tasks per worker the parallel enumeration aims for. When the
-/// plain (cost level, source class) grid falls short, tasks are sub-sharded
-/// over changed-attribute combination ranges until every worker can expect
-/// this many.
-const SHARD_OVERSUBSCRIPTION: usize = 4;
-
-/// Shared deadline state: a precomputed `Instant` plus a flag that fans the
-/// first observation out to every worker.
-struct Deadline {
+/// Deadline bookkeeping: counts examined pairs and consults the clock only at
+/// the adaptive interval.
+struct Ticker {
+    start: Instant,
     hard: Instant,
     soft: Instant,
-    expired: AtomicBool,
+    count: usize,
+    next_check: usize,
+    expired: bool,
 }
 
-impl Deadline {
-    fn new(start: Instant, budget: Duration) -> Deadline {
+impl Ticker {
+    fn new(budget: Duration) -> Ticker {
+        let start = Instant::now();
         let hard = start
             .checked_add(budget)
             .unwrap_or_else(|| start + Duration::from_secs(86_400));
         let soft = start.checked_add(budget.mul_f64(0.8)).unwrap_or(hard);
-        Deadline {
+        Ticker {
+            start,
             hard,
             soft,
-            expired: AtomicBool::new(false),
-        }
-    }
-
-    fn is_expired(&self) -> bool {
-        self.expired.load(Ordering::Relaxed)
-    }
-}
-
-/// Per-worker deadline bookkeeping: counts examined pairs and consults the
-/// clock only at the adaptive interval.
-struct Ticker<'a> {
-    deadline: &'a Deadline,
-    count: usize,
-    next_check: usize,
-}
-
-impl<'a> Ticker<'a> {
-    fn new(deadline: &'a Deadline) -> Ticker<'a> {
-        Ticker {
-            deadline,
             count: 0,
             next_check: TIME_CHECK_INTERVAL,
+            expired: false,
         }
     }
 
     /// Registers one examined pair; returns `true` when the enumeration must
-    /// stop (deadline reached here or in another worker).
+    /// stop.
     #[inline]
     fn tick(&mut self) -> bool {
         self.count += 1;
         if self.count < self.next_check {
             return false;
         }
-        if self.deadline.is_expired() {
-            return true;
-        }
         let now = Instant::now();
-        if now > self.deadline.hard {
-            self.deadline.expired.store(true, Ordering::Relaxed);
+        if now > self.hard {
+            self.expired = true;
             return true;
         }
-        let interval = if now > self.deadline.soft {
+        let interval = if now > self.soft {
             NEAR_DEADLINE_CHECK_INTERVAL
         } else {
             TIME_CHECK_INTERVAL
@@ -159,15 +109,15 @@ impl<'a> Ticker<'a> {
     }
 }
 
-/// What one worker collected for one source class at one cost level.
+/// What the enumeration collected for one source class at one cost level —
+/// also the unit the [`SkylineMemo`] caches.
+#[derive(Debug, Clone)]
 struct SourceLevelResult {
-    /// Index of the source class (for the deterministic merge order).
-    source_idx: usize,
     /// Pairs tied at `local_min`, in enumeration order. Empty when nothing
     /// reached the entering minimum.
     kept: Vec<ClassPair>,
     /// The minimum balance this source reached (seeded with the entering
-    /// global minimum).
+    /// minimum).
     local_min: f64,
     /// The strictly-best binary partitioning seen at this source:
     /// `(balance, smaller subset size)`, first occurrence wins ties.
@@ -176,20 +126,15 @@ struct SourceLevelResult {
     enumerated: usize,
 }
 
-/// Enumerates one source class at one cost level, restricted to the given
-/// range of changed-attribute combinations (`0..usize::MAX` = the whole
-/// source; sub-source shards pass narrower ranges).
+/// Enumerates one source class at one cost level.
 fn enumerate_source_level(
     ctx: &GenerationContext,
-    source_idx: usize,
     source: &TupleClass,
     edit_cost: usize,
-    combos: std::ops::Range<usize>,
     entering_min: f64,
-    ticker: &mut Ticker<'_>,
+    ticker: &mut Ticker,
 ) -> SourceLevelResult {
     let mut result = SourceLevelResult {
-        source_idx,
         kept: Vec::new(),
         local_min: entering_min,
         best_binary: None,
@@ -199,11 +144,10 @@ fn enumerate_source_level(
     let mut dst_scratch = ctx.match_scratch();
     // Hoist the source bitset out of the destination loop.
     let source_bits = ctx.class_match_words(source, &mut src_scratch).to_vec();
-    let _ = ctx.class_space().for_each_destination_class_in_combos(
+    let _ = ctx.class_space().for_each_destination_class(
         source,
         edit_cost,
         ctx.modifiable_attributes(),
-        combos,
         |destination, changed| {
             result.enumerated += 1;
             if ticker.tick() {
@@ -244,227 +188,54 @@ fn enumerate_source_level(
     result
 }
 
-/// Runs Algorithm 3 over the context's source-tuple classes.
+/// Runs Algorithm 3 over the context's source-tuple classes, sequentially.
 ///
 /// `time_budget` is the paper's δ threshold: once exceeded, the enumeration
-/// stops and returns the pairs collected so far. The worker count comes from
-/// the `QFE_SKYLINE_THREADS` environment variable when set, otherwise from
-/// `std::thread::available_parallelism` (capped by the number of source
-/// classes; tiny class spaces run sequentially).
+/// stops and returns the pairs collected so far. Each source is seeded with
+/// the running minimum, so it keeps only pairs that tie or beat every pair
+/// enumerated before it.
 pub fn skyline_stc_dtc_pairs(ctx: &GenerationContext, time_budget: Duration) -> SkylineOutcome {
-    skyline_stc_dtc_pairs_with_threads(ctx, time_budget, auto_threads(ctx))
-}
-
-/// [`skyline_stc_dtc_pairs`] with an explicit worker count (1 = sequential).
-/// Whenever the enumeration completes within `time_budget` (the returned
-/// [`SkylineOutcome::timed_out`] is `false`), the result is identical for
-/// every thread count; a timed-out run is best-effort and timing-dependent.
-pub fn skyline_stc_dtc_pairs_with_threads(
-    ctx: &GenerationContext,
-    time_budget: Duration,
-    threads: usize,
-) -> SkylineOutcome {
-    let start = Instant::now();
-    let deadline = Deadline::new(start, time_budget);
+    let mut ticker = Ticker::new(time_budget);
     let sources: Vec<&TupleClass> = ctx.source_classes().keys().collect();
-    let attribute_count = ctx.class_space().attribute_count();
-    let levels = attribute_count.max(1);
-    // Sub-source sharding lets more workers than source classes pull their
-    // weight; the hard cap is the sharded task-grid size.
-    let threads = threads.clamp(1, (sources.len() * levels * SHARD_OVERSUBSCRIPTION).max(1));
-
-    // Collect per-(cost level, source) results. Sequentially the running
-    // minimum prunes what later sources keep; the parallel workers instead
-    // seed every task with `+∞` — the deterministic merge below discards
-    // exactly the same pairs, so the two modes are byte-identical (a source
-    // whose local minimum exceeds the final level minimum contributes
-    // nothing either way).
-    let mut results: Vec<Vec<SourceLevelResult>> = if threads <= 1 {
-        let mut ticker = Ticker::new(&deadline);
-        let mut min_so_far = f64::INFINITY;
-        let mut per_level = Vec::with_capacity(levels);
-        'seq: for edit_cost in 1..=levels {
-            let mut level_results = Vec::with_capacity(sources.len());
-            for (idx, source) in sources.iter().enumerate() {
-                if deadline.is_expired() {
-                    per_level.push(level_results);
-                    break 'seq;
-                }
-                let r = enumerate_source_level(
-                    ctx,
-                    idx,
-                    source,
-                    edit_cost,
-                    0..usize::MAX,
-                    min_so_far,
-                    &mut ticker,
-                );
-                if r.local_min < min_so_far {
-                    min_so_far = r.local_min;
-                }
-                level_results.push(r);
+    let levels = ctx.class_space().attribute_count().max(1);
+    let mut min_so_far = f64::INFINITY;
+    let mut results: Vec<Vec<SourceLevelResult>> = Vec::with_capacity(levels);
+    'outer: for edit_cost in 1..=levels {
+        let mut level_results = Vec::with_capacity(sources.len());
+        for source in &sources {
+            if ticker.expired {
+                results.push(level_results);
+                break 'outer;
             }
-            per_level.push(level_results);
-        }
-        per_level
-    } else {
-        // One flat work-stealing pass over every task — no per-level
-        // barrier, workers are spawned exactly once. A task is normally one
-        // (cost level, source class); when that grid is too coarse to keep
-        // the workers busy (skewed class spaces with few sources), each cell
-        // is sub-sharded into contiguous changed-attribute combination
-        // ranges.
-        struct ShardTask {
-            level: usize,
-            source_idx: usize,
-            shard: usize,
-            combos: std::ops::Range<usize>,
-        }
-        let base_tasks = levels * sources.len();
-        let target_shards = if base_tasks >= threads * SHARD_OVERSUBSCRIPTION {
-            1
-        } else {
-            (threads * SHARD_OVERSUBSCRIPTION).div_ceil(base_tasks)
-        };
-        let mut tasks: Vec<ShardTask> = Vec::with_capacity(base_tasks);
-        for level in 1..=levels {
-            let combo_count = ctx
-                .class_space()
-                .destination_combo_count(level, ctx.modifiable_attributes());
-            let shards = target_shards.min(combo_count.max(1));
-            for source_idx in 0..sources.len() {
-                if shards <= 1 {
-                    tasks.push(ShardTask {
-                        level,
-                        source_idx,
-                        shard: 0,
-                        combos: 0..usize::MAX,
-                    });
-                } else {
-                    let per_shard = combo_count.div_ceil(shards);
-                    let mut start = 0;
-                    let mut shard = 0;
-                    while start < combo_count {
-                        let end = (start + per_shard).min(combo_count);
-                        tasks.push(ShardTask {
-                            level,
-                            source_idx,
-                            shard,
-                            combos: start..end,
-                        });
-                        shard += 1;
-                        start = end;
-                    }
-                }
+            let r = enumerate_source_level(ctx, source, edit_cost, min_so_far, &mut ticker);
+            if r.local_min < min_so_far {
+                min_so_far = r.local_min;
             }
+            level_results.push(r);
         }
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.min(tasks.len()).max(1);
-        let mut flat: Vec<(usize, usize, SourceLevelResult)> = std::thread::scope(|scope| {
-            let tasks = &tasks;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, usize, SourceLevelResult)> = Vec::new();
-                        let mut ticker = Ticker::new(&deadline);
-                        loop {
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            if t >= tasks.len() || deadline.is_expired() {
-                                break;
-                            }
-                            let task = &tasks[t];
-                            local.push((
-                                task.level,
-                                task.shard,
-                                enumerate_source_level(
-                                    ctx,
-                                    task.source_idx,
-                                    sources[task.source_idx],
-                                    task.level,
-                                    task.combos.clone(),
-                                    f64::INFINITY,
-                                    &mut ticker,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("skyline worker panicked"))
-                .collect()
-        });
-        // Merge sub-source shards back into one result per (level, source),
-        // in combination order, with the running-minimum rules the
-        // single-task enumeration applies — the combination ranges partition
-        // the source's enumeration order, so this is exact.
-        flat.sort_unstable_by_key(|(level, shard, r)| (*level, r.source_idx, *shard));
-        let mut per_level: Vec<Vec<SourceLevelResult>> = (0..levels).map(|_| Vec::new()).collect();
-        for (level, _, r) in flat {
-            let bucket = &mut per_level[level - 1];
-            match bucket.last_mut() {
-                Some(prev) if prev.source_idx == r.source_idx => {
-                    prev.enumerated += r.enumerated;
-                    if let Some((b, x)) = r.best_binary {
-                        let better = match prev.best_binary {
-                            Some((pb, _)) => b < pb,
-                            None => true,
-                        };
-                        if better {
-                            prev.best_binary = Some((b, x));
-                        }
-                    }
-                    if r.local_min < prev.local_min {
-                        prev.local_min = r.local_min;
-                        prev.kept = r.kept;
-                    } else if r.local_min == prev.local_min {
-                        prev.kept.extend(r.kept);
-                    }
-                }
-                _ => bucket.push(r),
-            }
-        }
-        per_level
-    };
-
-    let (pairs, min_balance, best_binary, enumerated) = merge_level_results(&mut results);
-    let timed_out = deadline.is_expired();
-
-    SkylineOutcome {
-        pairs,
-        min_balance,
-        best_binary_x: best_binary.map(|(_, x)| x),
-        enumerated,
-        elapsed: start.elapsed(),
-        timed_out,
-        threads,
+        results.push(level_results);
     }
+    finish(&ticker, results)
 }
 
 /// Deterministic merge of per-(level, source) results in (level, source)
-/// order — reproduces the sequential running-minimum and first-best
-/// tie-breaking semantics, so any collection mode (sequential, parallel,
-/// memoized) that produces complete per-source results merges to the same
-/// outcome. Returns `(pairs, min_balance, best_binary, enumerated)`;
-/// destructive on `kept`.
-fn merge_level_results(
-    results: &mut [Vec<SourceLevelResult>],
-) -> (Vec<ClassPair>, f64, Option<(f64, usize)>, usize) {
+/// order into the final outcome. It reproduces the sequential running-minimum
+/// and first-best tie-breaking semantics, so the sequential and the memoized
+/// collection (whose cells are seeded with `+∞`) merge to the same outcome.
+fn finish(ticker: &Ticker, results: Vec<Vec<SourceLevelResult>>) -> SkylineOutcome {
     let mut pairs: Vec<ClassPair> = Vec::new();
     let mut min_balance = f64::INFINITY;
     let mut best_binary: Option<(f64, usize)> = None;
     let mut enumerated = 0usize;
-    for level_results in results.iter_mut() {
+    for level_results in results {
         let mut level_min = min_balance;
-        for r in level_results.iter() {
+        for r in &level_results {
             enumerated += r.enumerated;
             if r.local_min < level_min {
                 level_min = r.local_min;
             }
         }
-        for r in level_results.iter_mut() {
+        for r in level_results {
             // First strictly-better binary partitioning wins, in source order.
             if let Some((b, x)) = r.best_binary {
                 let better = match best_binary {
@@ -475,13 +246,20 @@ fn merge_level_results(
                     best_binary = Some((b, x));
                 }
             }
-            if r.local_min == level_min && !r.kept.is_empty() {
-                pairs.append(&mut r.kept);
+            if r.local_min == level_min {
+                pairs.extend(r.kept);
             }
         }
         min_balance = level_min;
     }
-    (pairs, min_balance, best_binary, enumerated)
+    SkylineOutcome {
+        pairs,
+        min_balance,
+        best_binary_x: best_binary.map(|(_, x)| x),
+        enumerated,
+        elapsed: ticker.start.elapsed(),
+        timed_out: ticker.expired,
+    }
 }
 
 /// Fingerprint of everything a memo cell's value depends on besides its own
@@ -512,15 +290,6 @@ impl MemoFingerprint {
     }
 }
 
-/// The complete enumeration result of one `(cost level, source class)` cell.
-#[derive(Debug, Clone)]
-struct MemoCell {
-    kept: Vec<ClassPair>,
-    local_min: f64,
-    best_binary: Option<(f64, usize)>,
-    enumerated: usize,
-}
-
 /// Cross-round memo for [`skyline_stc_dtc_pairs_memoized`]: caches the
 /// per-`(cost level, source class)` enumeration results keyed on a
 /// fingerprint of the candidate set and the class-space geometry.
@@ -533,7 +302,7 @@ struct MemoCell {
 #[derive(Debug, Clone, Default)]
 pub struct SkylineMemo {
     fingerprint: Option<MemoFingerprint>,
-    cells: BTreeMap<(usize, TupleClass), MemoCell>,
+    cells: BTreeMap<(usize, TupleClass), SourceLevelResult>,
     hits: u64,
     recomputed: u64,
 }
@@ -574,18 +343,17 @@ impl SkylineMemo {
 /// [`skyline_stc_dtc_pairs`] with a cross-round [`SkylineMemo`]: source
 /// classes whose `(level, class)` cell is cached are served from the memo,
 /// only new cells are enumerated. Whenever the enumeration completes within
-/// `time_budget` the outcome is byte-identical to the sequential
-/// (single-thread) enumeration — cells are seeded with `+∞` exactly like the
-/// parallel workers, and the deterministic merge discards the same pairs.
-/// Cells are cached only when their enumeration ran to completion, so a
-/// timed-out run never poisons the memo.
+/// `time_budget` the outcome is byte-identical to [`skyline_stc_dtc_pairs`]:
+/// cells are seeded with `+∞` so they do not depend on the sources before
+/// them, and the deterministic merge discards exactly the pairs the running
+/// minimum would have. Cells are cached only when their enumeration ran to
+/// completion, so a timed-out run never poisons the memo.
 pub fn skyline_stc_dtc_pairs_memoized(
     ctx: &GenerationContext,
     time_budget: Duration,
     memo: &mut SkylineMemo,
 ) -> SkylineOutcome {
-    let start = Instant::now();
-    let deadline = Deadline::new(start, time_budget);
+    let mut ticker = Ticker::new(time_budget);
     let fingerprint = MemoFingerprint::of(ctx);
     if memo.fingerprint.as_ref() != Some(&fingerprint) {
         memo.cells.clear();
@@ -594,85 +362,32 @@ pub fn skyline_stc_dtc_pairs_memoized(
 
     let sources: Vec<&TupleClass> = ctx.source_classes().keys().collect();
     let levels = ctx.class_space().attribute_count().max(1);
-    let mut ticker = Ticker::new(&deadline);
     let mut results: Vec<Vec<SourceLevelResult>> = Vec::with_capacity(levels);
     'outer: for level in 1..=levels {
         let mut level_results = Vec::with_capacity(sources.len());
-        for (idx, source) in sources.iter().enumerate() {
-            if deadline.is_expired() {
+        for source in &sources {
+            if ticker.expired {
                 results.push(level_results);
                 break 'outer;
             }
             let key = (level, (*source).clone());
             if let Some(cell) = memo.cells.get(&key) {
                 memo.hits += 1;
-                level_results.push(SourceLevelResult {
-                    source_idx: idx,
-                    kept: cell.kept.clone(),
-                    local_min: cell.local_min,
-                    best_binary: cell.best_binary,
-                    enumerated: cell.enumerated,
-                });
+                level_results.push(cell.clone());
                 continue;
             }
-            let r = enumerate_source_level(
-                ctx,
-                idx,
-                source,
-                level,
-                0..usize::MAX,
-                f64::INFINITY,
-                &mut ticker,
-            );
+            let r = enumerate_source_level(ctx, source, level, f64::INFINITY, &mut ticker);
             // Only complete cells are cacheable: a deadline hit mid-source
             // truncates the enumeration.
-            if !deadline.is_expired() {
+            if !ticker.expired {
                 memo.recomputed += 1;
-                memo.cells.insert(
-                    key,
-                    MemoCell {
-                        kept: r.kept.clone(),
-                        local_min: r.local_min,
-                        best_binary: r.best_binary,
-                        enumerated: r.enumerated,
-                    },
-                );
+                memo.cells.insert(key, r.clone());
             }
             level_results.push(r);
         }
         results.push(level_results);
     }
-
-    let (pairs, min_balance, best_binary, enumerated) = merge_level_results(&mut results);
-    let timed_out = deadline.is_expired();
-
-    SkylineOutcome {
-        pairs,
-        min_balance,
-        best_binary_x: best_binary.map(|(_, x)| x),
-        enumerated,
-        elapsed: start.elapsed(),
-        timed_out,
-        threads: 1,
-    }
-}
-
-/// Picks the default worker count: the `QFE_SKYLINE_THREADS` environment
-/// variable when set, otherwise the machine's available parallelism, capped
-/// by the number of source classes.
-fn auto_threads(ctx: &GenerationContext) -> usize {
-    if let Ok(v) = std::env::var("QFE_SKYLINE_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    // Sub-source sharding keeps extra workers productive even when there are
-    // fewer source classes than cores; the useful ceiling is the task grid.
-    let levels = ctx.class_space().attribute_count().max(1);
-    hw.min((ctx.source_classes().len() * levels).max(1))
+    finish(&ticker, results)
 }
 
 #[cfg(test)]
@@ -749,49 +464,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_enumeration_is_bit_identical_to_sequential() {
-        let ctx = employee_context();
-        let sequential = skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), 1);
-        for threads in [2usize, 3, 4, 8] {
-            let parallel =
-                skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), threads);
-            assert_eq!(parallel.pairs, sequential.pairs, "{threads} threads");
-            assert_eq!(
-                parallel.min_balance.to_bits(),
-                sequential.min_balance.to_bits()
-            );
-            assert_eq!(parallel.best_binary_x, sequential.best_binary_x);
-            assert_eq!(parallel.enumerated, sequential.enumerated);
-        }
-    }
-
-    #[test]
-    fn sub_source_sharding_stays_bit_identical_on_skewed_spaces() {
-        // The employee context has only 2 source classes over 3 levels: any
-        // worker count ≥ 2 falls below the oversubscription target, so every
-        // (level, source) cell is sub-sharded over combination ranges — and
-        // worker counts beyond the source-class count must still merge to the
-        // sequential result.
-        let ctx = employee_context();
-        let sequential = skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), 1);
-        for threads in [2usize, 5, 16, 64] {
-            let parallel =
-                skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), threads);
-            assert!(parallel.threads > 1, "{threads} workers requested");
-            assert_eq!(parallel.pairs, sequential.pairs, "{threads} threads");
-            assert_eq!(
-                parallel.min_balance.to_bits(),
-                sequential.min_balance.to_bits()
-            );
-            assert_eq!(parallel.best_binary_x, sequential.best_binary_x);
-            assert_eq!(parallel.enumerated, sequential.enumerated);
-        }
-    }
-
-    #[test]
     fn memoized_enumeration_is_bit_identical_and_hits_on_reuse() {
         let ctx = employee_context();
-        let sequential = skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), 1);
+        let sequential = skyline_stc_dtc_pairs(&ctx, Duration::from_secs(30));
         let mut memo = SkylineMemo::new();
 
         // Cold memo: everything recomputed, result identical to sequential.
@@ -818,7 +493,7 @@ mod tests {
         // A changed candidate set invalidates the fingerprint: the memo is
         // rebuilt and the result matches the new context's sequential run.
         let pruned = ctx.advance(&[0, 1], &[]).unwrap();
-        let pruned_seq = skyline_stc_dtc_pairs_with_threads(&pruned, Duration::from_secs(30), 1);
+        let pruned_seq = skyline_stc_dtc_pairs(&pruned, Duration::from_secs(30));
         let after = skyline_stc_dtc_pairs_memoized(&pruned, Duration::from_secs(30), &mut memo);
         assert_eq!(after.pairs, pruned_seq.pairs);
         assert_eq!(

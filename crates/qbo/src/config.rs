@@ -25,12 +25,6 @@ pub struct QboConfig {
     /// Whether to try inferring the projection by value matching when the
     /// result's column names do not resolve against the join.
     pub infer_projection_by_values: bool,
-    /// Whether candidate verification runs through the columnar
-    /// [`BatchVerifier`](crate::BatchVerifier) (bitmap algebra over a shared
-    /// term cache) instead of row-at-a-time evaluation. The two paths accept
-    /// byte-identical candidate sets; the row path exists for benchmarking
-    /// and differential testing.
-    pub columnar_verify: bool,
 }
 
 impl Default for QboConfig {
@@ -43,7 +37,6 @@ impl Default for QboConfig {
             max_candidates: 64,
             max_in_list: 6,
             infer_projection_by_values: true,
-            columnar_verify: true,
         }
     }
 }
@@ -60,7 +53,6 @@ impl QboConfig {
             max_candidates: 256,
             max_in_list: 10,
             infer_projection_by_values: true,
-            columnar_verify: true,
         }
     }
 
@@ -75,7 +67,6 @@ impl QboConfig {
             max_candidates: 16,
             max_in_list: 4,
             infer_projection_by_values: false,
-            columnar_verify: true,
         }
     }
 }

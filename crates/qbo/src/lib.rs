@@ -76,10 +76,7 @@ pub use config::QboConfig;
 pub use error::{QboError, Result};
 pub use generator::QueryGenerator;
 pub use join_enum::connected_table_subsets;
-pub use mutation::{
-    grow_candidates, grow_candidates_mode, mutate_constants, mutate_constants_mode,
-    mutate_operators, mutate_operators_mode,
-};
+pub use mutation::{grow_candidates, mutate_constants, mutate_operators};
 pub use predicate_enum::{enumerate_predicates, split_rows, AttributeSpace, RowSplit};
 pub use projection::candidate_projections;
 pub use verify::{verify_batch, BatchVerifier, VerifyStats};

@@ -22,10 +22,12 @@
 //!   bitmap) produce the same result, so the verdict is computed once and
 //!   replayed for every signature-equal candidate.
 //!
-//! The verdicts are exactly those of
+//! [`BatchVerifier`] is the only verifier on the generation paths. Its
+//! verdicts are exactly those of
 //! [`evaluate_on_join`](qfe_query::evaluate_on_join) followed by
-//! [`QueryResult::bag_equal`] — property tests in the workspace root enforce
-//! the equivalence on randomized schemas and predicates.
+//! [`QueryResult::bag_equal`], which survives only as the test oracle:
+//! property tests in the workspace root pin the two together on every query
+//! the predicate enumeration yields over randomized instances.
 
 use std::collections::HashMap;
 

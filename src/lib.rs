@@ -64,9 +64,10 @@
 //! (`reverify_after_patch`), and the skyline re-enumerates only (source,
 //! destination) class pairs whose blocks changed, via a cross-round
 //! [`SkylineMemo`](core::SkylineMemo). Key-column edits fall back to a full
-//! rebuild (counted by [`advance_full_rebuilds`](core::advance_full_rebuilds)
-//! and logged when `QFE_LOG_REBUILD` is set), with untouched tables still
-//! `Arc`-shared. Every fast path is property-tested byte-identical to a
+//! rebuild (reported as
+//! [`AdvancePath::FullRebuild`](core::AdvancePath::FullRebuild) by
+//! [`advance_with_report`](core::GenerationContext::advance_with_report)),
+//! with untouched tables still `Arc`-shared. Every fast path is property-tested byte-identical to a
 //! fresh rebuild (`tests/differential.rs`); `experiments -- rounds` records
 //! the advance-vs-rebuild trajectory in `BENCH_rounds.json`.
 //!

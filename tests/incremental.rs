@@ -6,9 +6,7 @@
 use std::time::Duration;
 
 use qfe::prelude::*;
-use qfe_core::{
-    skyline_stc_dtc_pairs_with_threads, CellEdit, DatabaseGenerator, GenerationContext,
-};
+use qfe_core::{skyline_stc_dtc_pairs, CellEdit, DatabaseGenerator, GenerationContext};
 use qfe_query::{evaluate, SpjQuery};
 use qfe_relation::{Database, Value};
 
@@ -49,8 +47,8 @@ fn assert_contexts_equivalent(advanced: &GenerationContext, fresh: &GenerationCo
     assert_eq!(advanced.projection_columns(), fresh.projection_columns());
     // The class-level kernel agrees: bit-identical skyline outcomes.
     let budget = Duration::from_secs(60);
-    let a = skyline_stc_dtc_pairs_with_threads(advanced, budget, 1);
-    let f = skyline_stc_dtc_pairs_with_threads(fresh, budget, 1);
+    let a = skyline_stc_dtc_pairs(advanced, budget);
+    let f = skyline_stc_dtc_pairs(fresh, budget);
     assert_eq!(a.pairs, f.pairs);
     assert_eq!(a.min_balance.to_bits(), f.min_balance.to_bits());
     assert_eq!(a.best_binary_x, f.best_binary_x);

@@ -277,7 +277,7 @@ fn driver_terminates_and_is_consistent() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel skyline determinism
+// Skyline determinism: memoized engine path vs. sequential oracle
 // ---------------------------------------------------------------------------
 
 /// A random schema/query mix that exercises categorical and numeric
@@ -309,8 +309,24 @@ fn random_candidates(rng: &mut StdRng) -> Vec<SpjQuery> {
 }
 
 #[test]
-fn parallel_skyline_is_identical_to_sequential_on_random_schemas() {
-    use qfe_core::{skyline_stc_dtc_pairs_with_threads, GenerationContext};
+fn memoized_skyline_is_identical_to_sequential_on_random_schemas() {
+    use qfe_core::{
+        skyline_stc_dtc_pairs, skyline_stc_dtc_pairs_memoized, GenerationContext, SkylineMemo,
+        SkylineOutcome,
+    };
+    let assert_same = |memoized: &SkylineOutcome, sequential: &SkylineOutcome, memo: &str| {
+        assert_eq!(memoized.pairs, sequential.pairs, "{memo} memo");
+        assert_eq!(
+            memoized.min_balance.to_bits(),
+            sequential.min_balance.to_bits(),
+            "min_balance must be bit-identical ({memo} memo)"
+        );
+        assert_eq!(
+            memoized.best_binary_x, sequential.best_binary_x,
+            "{memo} memo"
+        );
+        assert_eq!(memoized.enumerated, sequential.enumerated, "{memo} memo");
+    };
     let mut rng = StdRng::seed_from_u64(107);
     let mut checked = 0;
     for _ in 0..32 {
@@ -323,18 +339,18 @@ fn parallel_skyline_is_identical_to_sequential_on_random_schemas() {
             Err(_) => continue,
         };
         let budget = std::time::Duration::from_secs(60);
-        let sequential = skyline_stc_dtc_pairs_with_threads(&ctx, budget, 1);
-        for threads in [2usize, 4, 8] {
-            let parallel = skyline_stc_dtc_pairs_with_threads(&ctx, budget, threads);
-            assert_eq!(parallel.pairs, sequential.pairs, "{threads} threads");
-            assert_eq!(
-                parallel.min_balance.to_bits(),
-                sequential.min_balance.to_bits(),
-                "min_balance must be bit-identical"
-            );
-            assert_eq!(parallel.best_binary_x, sequential.best_binary_x);
-            assert_eq!(parallel.enumerated, sequential.enumerated);
-        }
+        let sequential = skyline_stc_dtc_pairs(&ctx, budget);
+        let mut memo = SkylineMemo::new();
+        let cold = skyline_stc_dtc_pairs_memoized(&ctx, budget, &mut memo);
+        assert_same(&cold, &sequential, "cold");
+        let recomputed = memo.recomputed_cells();
+        let warm = skyline_stc_dtc_pairs_memoized(&ctx, budget, &mut memo);
+        assert_same(&warm, &sequential, "warm");
+        assert_eq!(
+            memo.recomputed_cells(),
+            recomputed,
+            "warm run must not recompute"
+        );
         checked += 1;
     }
     assert!(checked >= 16, "too few non-degenerate random instances");
@@ -625,10 +641,15 @@ fn verify_batch_agrees_with_per_query_row_verification() {
 }
 
 #[test]
-fn qbo_columnar_and_row_paths_accept_identical_candidate_sets() {
-    use qfe_qbo::{grow_candidates_mode, QboConfig, QueryGenerator};
+fn batch_verifier_agrees_with_row_evaluator_on_every_enumerated_query() {
+    use qfe_qbo::{
+        candidate_projections, connected_table_subsets, enumerate_predicates, grow_candidates,
+        split_rows, AttributeSpace, BatchVerifier, QboConfig, QueryGenerator,
+    };
+    use qfe_query::{evaluate_on_join, QueryResult};
+    let config = QboConfig::default();
     let mut rng = StdRng::seed_from_u64(112);
-    let mut checked = 0;
+    let (mut accepted, mut rejected) = (0, 0);
     for _ in 0..16 {
         let rows = employee_rows(&mut rng);
         let db = build_employee(&rows);
@@ -645,32 +666,61 @@ fn qbo_columnar_and_row_paths_accept_identical_candidate_sets() {
         if result.is_empty() {
             continue;
         }
-        let columnar_gen = QueryGenerator::new(QboConfig::default());
-        let row_gen = QueryGenerator::new(QboConfig {
-            columnar_verify: false,
-            ..QboConfig::default()
-        });
-        let a = columnar_gen.generate(&db, &result);
-        let b = row_gen.generate(&db, &result);
-        let (a, b) = match (a, b) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(_), Err(_)) => continue,
-            (a, b) => panic!("paths disagree on failure: {a:?} vs {b:?}"),
+        // `R` minus its first row: most enumerated queries must be rejected
+        // against it, so both verdicts are exercised.
+        let shorter = QueryResult::new(result.columns().to_vec(), result.rows()[1..].to_vec());
+        for tables in connected_table_subsets(&db, config.max_join_tables) {
+            let Ok(join) = foreign_key_join(&db, &tables) else {
+                continue;
+            };
+            // One verifier per (join, expected result), as the generator
+            // builds it, so verdicts replayed from its signature cache are
+            // checked too.
+            let mut verifiers = [
+                (BatchVerifier::new(&join, &result), &result),
+                (BatchVerifier::new(&join, &shorter), &shorter),
+            ];
+            let space = AttributeSpace::new(&join);
+            for projection in
+                candidate_projections(&join, &result, config.infer_projection_by_values)
+            {
+                let Some(proj_idx) = projection
+                    .iter()
+                    .map(|c| join.resolve_column(c).ok())
+                    .collect::<Option<Vec<usize>>>()
+                else {
+                    continue;
+                };
+                let Some(split) = split_rows(&join, &proj_idx, &result) else {
+                    continue;
+                };
+                for predicate in enumerate_predicates(&join, &space, &split, &config) {
+                    let query = SpjQuery::new(tables.clone(), projection.clone(), predicate);
+                    let evaluated = evaluate_on_join(&query, &join).ok();
+                    for (verifier, expected) in &mut verifiers {
+                        let row_verdict = evaluated.as_ref().is_some_and(|r| r.bag_equal(expected));
+                        assert_eq!(verifier.verify(&join, &query), row_verdict, "{query}");
+                        if row_verdict {
+                            accepted += 1;
+                        } else {
+                            rejected += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let Ok(base) = QueryGenerator::new(config.clone()).generate(&db, &result) else {
+            continue;
         };
-        let sql = |qs: &[SpjQuery]| qs.iter().map(|q| q.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            sql(&a),
-            sql(&b),
-            "generator candidate sets must be byte-identical"
-        );
-        let grown_columnar = grow_candidates_mode(&db, &result, &a, a.len() + 8, true).unwrap();
-        let grown_row = grow_candidates_mode(&db, &result, &a, a.len() + 8, false).unwrap();
-        assert_eq!(
-            sql(&grown_columnar),
-            sql(&grown_row),
-            "mutation frontiers must be byte-identical"
-        );
-        checked += 1;
+        for query in grow_candidates(&db, &result, &base, base.len() + 8).unwrap() {
+            assert!(
+                evaluate(&query, &db).unwrap().bag_equal(&result),
+                "grown candidate does not reproduce R: {query}"
+            );
+        }
     }
-    assert!(checked >= 8, "too few non-degenerate random instances");
+    assert!(
+        accepted >= 8 && rejected >= 8,
+        "too few verdicts of one kind ({accepted} accepted, {rejected} rejected)"
+    );
 }
