@@ -4,17 +4,17 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p qfe-bench --bin experiments --release -- [all|table1|…|table7|initial-size|entropy|user-study|ablation|manager|qbo-batch|rounds|service|chaos|cluster] [--paper-scale] [--fleet-sessions N]
+//! cargo run -p qfe-bench --bin experiments --release -- [all|table1|…|table7|initial-size|entropy|user-study|ablation|manager|qbo-batch|rounds|pick|service|chaos|cluster] [--paper-scale] [--fleet-sessions N]
 //! ```
 //!
 //! The default scale is `Small` (reduced cardinalities, runs in seconds);
 //! `--paper-scale` uses the paper's dataset cardinalities and δ = 1 s.
 
 use qfe_bench::{
-    ablation_estimator, extra_entropy, extra_initial_size, fleet_json, manager_report,
-    qbo_batch_json, qbo_batch_measurements, qbo_batch_report, rounds_json, rounds_measurements,
-    rounds_report, run_fleet, table1, table2, table3, table4, table5, table6, table7, user_study,
-    FleetConfig, Scale, Scenario,
+    ablation_estimator, extra_entropy, extra_initial_size, fleet_json, manager_report, pick_json,
+    pick_measurements, pick_report, qbo_batch_json, qbo_batch_measurements, qbo_batch_report,
+    rounds_json, rounds_measurements, rounds_report, run_fleet, table1, table2, table3, table4,
+    table5, table6, table7, user_study, FleetConfig, Scale, Scenario,
 };
 
 fn main() {
@@ -103,6 +103,16 @@ fn main() {
         println!("{}", rounds_report(&rows));
         let json = rounds_json(scale, &rows);
         let path = "BENCH_rounds.json";
+        match std::fs::write(path, &json) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+    }
+    if want("pick") {
+        let sessions = pick_measurements(scale);
+        println!("{}", pick_report(&sessions));
+        let json = pick_json(scale, &sessions);
+        let path = "BENCH_pick.json";
         match std::fs::write(path, &json) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),

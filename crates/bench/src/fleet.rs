@@ -532,7 +532,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
 }
 
 /// The commit of the working directory's git checkout, or `None` outside one.
-fn commit() -> Option<String> {
+pub(crate) fn commit() -> Option<String> {
     let out = std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
         .output()

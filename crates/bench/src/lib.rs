@@ -11,8 +11,10 @@
 #![forbid(unsafe_code)]
 
 mod fleet;
+mod pick;
 
 pub use fleet::{fault_plan, fleet_json, run_fleet, FleetConfig, FleetReport, Scenario};
+pub use pick::{pick_json, pick_measurements, pick_report, PickRound, PickSession};
 
 use std::fmt::Write as _;
 use std::time::Duration;

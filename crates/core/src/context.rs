@@ -836,7 +836,7 @@ impl GenerationContext {
                     .pair_stats(&s, d, self.projection_touched(&pair.changed_attributes));
             return stats.sizes().collect();
         }
-        if count <= 32 {
+        if count <= MAX_PACKED_PAIRS {
             // Pack each query's outcome vector into a u64 (2 bits per pair),
             // then count equal signatures.
             let mut keys = vec![0u64; nq];
@@ -845,27 +845,14 @@ impl GenerationContext {
             for i in 0..count {
                 let pair = pair_at(i);
                 let proj = self.projection_touched(&pair.changed_attributes);
-                let s = self
-                    .kernel
-                    .match_words(&pair.source, &mut s_scratch)
-                    .to_vec();
+                let s = self.kernel.match_words(&pair.source, &mut s_scratch);
                 let d = self.kernel.match_words(&pair.destination, &mut d_scratch);
                 for (q, key) in keys.iter_mut().enumerate() {
-                    *key |= u64::from(self.kernel.outcome_code(&s, d, proj, q)) << (2 * i);
+                    *key |= u64::from(self.kernel.outcome_code(s, d, proj, q)) << (2 * i);
                 }
             }
-            keys.sort_unstable();
             let mut sizes = Vec::new();
-            let mut run = 1usize;
-            for w in keys.windows(2) {
-                if w[0] == w[1] {
-                    run += 1;
-                } else {
-                    sizes.push(run);
-                    run = 1;
-                }
-            }
-            sizes.push(run);
+            packed_partition_sizes(&mut keys, &mut sizes);
             return sizes;
         }
         // Cold path for very large pair sets: explicit signatures.
@@ -875,6 +862,24 @@ impl GenerationContext {
             *groups.entry(signature).or_insert(0) += 1;
         }
         groups.into_values().collect()
+    }
+
+    /// The 2-bit Lemma 5.1 outcome code (`0 = Unchanged, 1 = Added,
+    /// 2 = Removed, 3 = Replaced`) of every (pair, query), row-major by pair:
+    /// entry `p · |queries| + q` is the code [`Self::partition_sizes_of`]
+    /// packs for pair `pool[p]` and query `q`.
+    pub(crate) fn outcome_codes(&self, pool: &[ClassPair]) -> Vec<u8> {
+        let nq = self.queries.len();
+        let mut codes = Vec::with_capacity(pool.len() * nq);
+        let mut s_scratch = self.match_scratch();
+        let mut d_scratch = self.match_scratch();
+        for pair in pool {
+            let proj = self.projection_touched(&pair.changed_attributes);
+            let s = self.kernel.match_words(&pair.source, &mut s_scratch);
+            let d = self.kernel.match_words(&pair.destination, &mut d_scratch);
+            codes.extend((0..nq).map(|q| self.kernel.outcome_code(s, d, proj, q)));
+        }
+        codes
     }
 
     /// The balance score of the class-level partitioning induced by `pairs`.
@@ -913,29 +918,58 @@ impl GenerationContext {
         &self,
         edits: &[crate::realize::CellEdit],
     ) -> Vec<(usize, Tuple, Tuple)> {
-        let mut patched: BTreeMap<usize, Tuple> = BTreeMap::new();
+        // (join row, patched tuple); edits touch few rows.
+        let mut patched: Vec<(usize, Tuple)> = Vec::new();
         for edit in edits {
             for &jrow in self.join_index.joined_rows_of(&edit.table, edit.row) {
-                let entry = patched
-                    .entry(jrow)
-                    .or_insert_with(|| self.join.rows()[jrow].tuple.clone());
+                let at = match patched.iter().position(|(r, _)| *r == jrow) {
+                    Some(at) => at,
+                    None => {
+                        patched.push((jrow, self.join.rows()[jrow].tuple.clone()));
+                        patched.len() - 1
+                    }
+                };
                 // Patch every join column that originates from the edited
                 // base cell.
+                if self.join.rows()[jrow].provenance.get(&edit.table) != Some(&edit.row) {
+                    continue;
+                }
                 for (col_idx, col) in self.join.columns().iter().enumerate() {
-                    if col.table == edit.table
-                        && col.column == edit.column
-                        && self.join.rows()[jrow].provenance.get(&edit.table) == Some(&edit.row)
-                    {
-                        entry.set(col_idx, edit.new_value.clone());
+                    if col.table == edit.table && col.column == edit.column {
+                        patched[at].1.set(col_idx, edit.new_value.clone());
                     }
                 }
             }
         }
+        patched.sort_unstable_by_key(|(jrow, _)| *jrow);
         patched
             .into_iter()
             .map(|(jrow, tuple)| (jrow, self.join.rows()[jrow].tuple.clone(), tuple))
             .collect()
     }
+}
+
+/// Largest pair set whose per-query outcome vectors pack into one `u64`
+/// (2 bits per pair).
+pub(crate) const MAX_PACKED_PAIRS: usize = 32;
+
+/// Partition sizes from packed per-query outcome keys: sorts `keys` and
+/// writes the length of each run of equal keys to `sizes`, in ascending key
+/// order. This order is what [`balance_score`] sums over, so every caller
+/// that packs the same keys gets a bit-identical score.
+pub(crate) fn packed_partition_sizes(keys: &mut [u64], sizes: &mut Vec<usize>) {
+    keys.sort_unstable();
+    sizes.clear();
+    let mut run = 1usize;
+    for w in keys.windows(2) {
+        if w[0] == w[1] {
+            run += 1;
+        } else {
+            sizes.push(run);
+            run = 1;
+        }
+    }
+    sizes.push(run);
 }
 
 /// Which selection attributes may be modified: an attribute is locked when

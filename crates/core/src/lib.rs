@@ -177,6 +177,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// Lets the test oracles in `oracle.rs` name this crate `qfe_core`, so the
+// same file also compiles inside the workspace property tests.
+#[cfg(test)]
+extern crate self as qfe_core;
+
 mod alt_cost;
 mod context;
 mod cost;
@@ -190,6 +195,8 @@ mod feedback;
 mod join_groups;
 mod kernel;
 mod manager;
+#[cfg(test)]
+mod oracle;
 mod pick;
 mod realize;
 mod serial;
@@ -223,7 +230,7 @@ pub use feedback::{
 pub use join_groups::{group_by_join_schema, run_grouped};
 pub use kernel::KernelReuse;
 pub use manager::{SessionId, SessionManager};
-pub use pick::{pick_stc_dtc_subset, PickOutcome};
+pub use pick::{pick_stc_dtc_subset, PickOutcome, MAX_COST_EVALUATIONS, MAX_SETS_PER_LEVEL};
 pub use realize::{
     apply_edits, edits_to_ops, evaluate_modification, group_result, realize_pairs, CellEdit,
     GroupEffect, ModificationEvaluation, RealizedModification,

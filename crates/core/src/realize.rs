@@ -101,11 +101,53 @@ impl ModificationEvaluation {
 /// chosen for earlier pairs. Returns `None` when some pair has no realizable
 /// tuple (e.g. all members already used).
 pub fn realize_pairs(ctx: &GenerationContext, pairs: &[ClassPair]) -> Option<RealizedModification> {
-    let mut used_join_rows: BTreeSet<usize> = BTreeSet::new();
-    let mut edited_cells: BTreeSet<(String, usize, String)> = BTreeSet::new();
+    let orders: Vec<Vec<usize>> = pairs.iter().map(|pair| candidate_rows(ctx, pair)).collect();
+    realize_in_order(ctx, pairs.iter().zip(orders.iter().map(Vec::as_slice)))
+}
+
+/// The join rows of `pair.source`'s class in the order [`realize_pairs`]
+/// tries them: ascending total fan-out of the base tuples the pair would
+/// modify (side-effect-free realizations first), then ascending row. Empty
+/// when no join row belongs to the class. The order depends on the pair
+/// alone, so Algorithm 4 computes it once per skyline pair.
+pub(crate) fn candidate_rows(ctx: &GenerationContext, pair: &ClassPair) -> Vec<usize> {
+    let Some(members) = ctx.source_classes().get(&pair.source) else {
+        return Vec::new();
+    };
+    let attributes = ctx.class_space().attributes();
+    let mut candidates: Vec<(usize, usize)> = members
+        .iter()
+        .map(|&jrow| {
+            let provenance = &ctx.join().rows()[jrow].provenance;
+            let fan_out: usize = pair
+                .changed_attributes
+                .iter()
+                .map(|&pos| {
+                    let table = &attributes[pos].table;
+                    let base_row = provenance.get(table).copied().unwrap_or(usize::MAX);
+                    ctx.join_index().fan_out(table, base_row)
+                })
+                .sum();
+            (fan_out, jrow)
+        })
+        .collect();
+    candidates.sort_unstable();
+    candidates.into_iter().map(|(_, jrow)| jrow).collect()
+}
+
+/// [`realize_pairs`] with each pair's [`candidate_rows`] supplied.
+pub(crate) fn realize_in_order<'p>(
+    ctx: &GenerationContext,
+    pairs: impl IntoIterator<Item = (&'p ClassPair, &'p [usize])>,
+) -> Option<RealizedModification> {
+    let attributes = ctx.class_space().attributes();
+    let rows = ctx.join().rows();
+    let mut used_join_rows: Vec<usize> = Vec::new();
+    // (table, base row, column) of every committed edit.
+    let mut edited_cells: Vec<(&str, usize, &str)> = Vec::new();
     let mut edits: Vec<CellEdit> = Vec::new();
 
-    for pair in pairs {
+    for (pair, order) in pairs {
         // A destination block whose representative cannot be stored in the
         // column's declared type is unrealizable: e.g. the open interval
         // (80, 81) of a BIGINT column contains no integers, so its fractional
@@ -116,63 +158,40 @@ pub fn realize_pairs(ctx: &GenerationContext, pairs: &[ClassPair]) -> Option<Rea
                 return None;
             }
         }
-        let members = ctx.source_classes().get(&pair.source)?;
-        // Order candidate rows by total fan-out of the base tuples we would
-        // modify (ascending: prefer side-effect-free realizations).
-        let mut candidates: Vec<(usize, usize)> = members
-            .iter()
-            .filter(|r| !used_join_rows.contains(r))
-            .map(|&jrow| {
-                let fan_out: usize = pair
-                    .changed_attributes
-                    .iter()
-                    .map(|&pos| {
-                        let attr = &ctx.class_space().attributes()[pos];
-                        let base_row = ctx.join().rows()[jrow]
-                            .provenance
-                            .get(&attr.table)
-                            .copied()
-                            .unwrap_or(usize::MAX);
-                        ctx.join_index().fan_out(&attr.table, base_row)
-                    })
-                    .sum();
-                (fan_out, jrow)
-            })
-            .collect();
-        candidates.sort_unstable();
-
-        let mut realized_this_pair = false;
-        'candidate: for (_, jrow) in candidates {
-            let mut pair_edits: Vec<CellEdit> = Vec::new();
+        // The first unused row whose cells are all still free: its edits are
+        // appended tentatively and rolled back when a cell conflicts.
+        let committed = edits.len();
+        let chosen = order.iter().copied().find(|jrow| {
+            if used_join_rows.contains(jrow) {
+                return false;
+            }
             for &pos in &pair.changed_attributes {
-                let attr = &ctx.class_space().attributes()[pos];
-                let base_row = match ctx.join().rows()[jrow].provenance.get(&attr.table) {
+                let attr = &attributes[pos];
+                let base_row = match rows[*jrow].provenance.get(&attr.table) {
                     Some(&r) => r,
-                    None => continue 'candidate,
+                    None => break,
                 };
-                let key = (attr.table.clone(), base_row, attr.base_column.clone());
-                if edited_cells.contains(&key) {
-                    continue 'candidate;
+                let cell = (attr.table.as_str(), base_row, attr.base_column.as_str());
+                if edited_cells.contains(&cell) {
+                    break;
                 }
-                let new_value = attr.blocks[pair.destination[pos]].representative().clone();
-                pair_edits.push(CellEdit {
+                edits.push(CellEdit {
                     table: attr.table.clone(),
                     row: base_row,
                     column: attr.base_column.clone(),
-                    new_value,
+                    new_value: attr.blocks[pair.destination[pos]].representative().clone(),
                 });
             }
-            // Commit this candidate.
-            for e in &pair_edits {
-                edited_cells.insert((e.table.clone(), e.row, e.column.clone()));
+            if edits.len() - committed == pair.changed_attributes.len() {
+                return true;
             }
-            used_join_rows.insert(jrow);
-            edits.extend(pair_edits);
-            realized_this_pair = true;
-            break;
-        }
-        if !realized_this_pair {
-            return None;
+            edits.truncate(committed);
+            false
+        })?;
+        used_join_rows.push(chosen);
+        for (e, &pos) in edits[committed..].iter().zip(&pair.changed_attributes) {
+            let attr = &attributes[pos];
+            edited_cells.push((attr.table.as_str(), e.row, attr.base_column.as_str()));
         }
     }
 
@@ -262,44 +281,127 @@ pub fn edits_to_ops(db: &Database, edits: &[CellEdit]) -> Result<Vec<EditOp>> {
 /// affected by the edited base tuples are re-examined (via the join index),
 /// which makes the cost evaluation inside Algorithm 4 cheap even on larger
 /// joins. The computation accounts for side effects exactly.
+///
+/// Every query gets a signature: its projection list and, per patched row,
+/// the row's effect on its result. A row's match after the edit is
+/// re-evaluated only for queries that read a changed column. Removed and added rows are
+/// then built once per distinct signature. Groups come out ordered by
+/// `(removed, added)`, with ascending query indices.
 pub fn evaluate_modification(
     ctx: &GenerationContext,
     edits: &[CellEdit],
 ) -> ModificationEvaluation {
+    let (rows, bound) = (ctx.join().rows(), ctx.bound_queries());
+    evaluate_with(ctx, edits, &mut |jrow, query| {
+        bound[query].matches_row(&rows[jrow].tuple)
+    })
+}
+
+/// [`evaluate_modification`] with `original_match(join row, query)` telling
+/// whether the unmodified join row satisfies the query, so a caller costing
+/// many modifications can remember it per row.
+pub(crate) fn evaluate_with(
+    ctx: &GenerationContext,
+    edits: &[CellEdit],
+    original_match: &mut impl FnMut(usize, usize) -> bool,
+) -> ModificationEvaluation {
     use std::collections::BTreeMap;
 
-    let patched = ctx.patched_join_rows(edits);
-    let arity = ctx.bound_queries()[0].projection_indices().len();
+    const SAME: u8 = 0;
+    const REMOVED: u8 = 1;
+    const ADDED: u8 = 2;
+    const REPLACED: u8 = 3;
 
+    let patched = ctx.patched_join_rows(edits);
+    let bound = ctx.bound_queries();
+    let arity = bound[0].projection_indices().len();
+
+    let changed: Vec<u64> = patched
+        .iter()
+        .map(|(_, old, new)| {
+            column_mask((0..old.arity().max(new.arity())).filter(|&c| old.get(c) != new.get(c)))
+        })
+        .collect();
+    let width = patched.len();
+    let mut codes: Vec<u8> = Vec::with_capacity(bound.len() * width);
+    for (qidx, query) in bound.iter().enumerate() {
+        let reads = column_mask(query.attribute_indices().iter().map(|&(_, c)| c));
+        let projection = query.projection_indices();
+        let projects = column_mask(projection.iter().copied());
+        for ((jrow, old, new), &changed) in patched.iter().zip(&changed) {
+            let old_match = original_match(*jrow, qidx);
+            let new_match = if reads & changed == 0 {
+                old_match
+            } else {
+                query.matches_row(new)
+            };
+            let projection_changed =
+                || projects & changed != 0 && projection.iter().any(|&c| old.get(c) != new.get(c));
+            codes.push(match (old_match, new_match) {
+                (true, false) => REMOVED,
+                (false, true) => ADDED,
+                (true, true) if projection_changed() => REPLACED,
+                _ => SAME,
+            });
+        }
+    }
+
+    // Distinct signatures in first-query order (there are few: one per
+    // group, give or take projection lists).
+    let mut signatures: Vec<(&[usize], &[u8], Vec<usize>)> = Vec::new();
+    for (qidx, query) in bound.iter().enumerate() {
+        let projection = query.projection_indices();
+        let signature = &codes[qidx * width..(qidx + 1) * width];
+        match signatures
+            .iter_mut()
+            .find(|(p, s, _)| *p == projection && *s == signature)
+        {
+            Some((_, _, queries)) => queries.push(qidx),
+            None => signatures.push((projection, signature, vec![qidx])),
+        }
+    }
+
+    // Old and new projection of each patched row, per projection list,
+    // built on first use (cloning a `Tuple` only bumps a reference count).
+    type Projections = Vec<Option<(Tuple, Tuple)>>;
+    let mut projected: Vec<(&[usize], Projections)> = Vec::new();
     let mut groups: BTreeMap<(Vec<Tuple>, Vec<Tuple>), Vec<usize>> = BTreeMap::new();
-    for (qidx, bound) in ctx.bound_queries().iter().enumerate() {
+    for (projection, signature, query_indices) in signatures {
+        let slot = match projected.iter().position(|(p, _)| *p == projection) {
+            Some(slot) => slot,
+            None => {
+                projected.push((projection, vec![None; width]));
+                projected.len() - 1
+            }
+        };
+        let rows = &mut projected[slot].1;
         let mut removed: Vec<Tuple> = Vec::new();
         let mut added: Vec<Tuple> = Vec::new();
-        for (_, old, new) in &patched {
-            let old_match = bound.matches_row(old);
-            let new_match = bound.matches_row(new);
-            let old_proj = old.project(bound.projection_indices());
-            let new_proj = new.project(bound.projection_indices());
-            match (old_match, new_match) {
-                (true, false) => removed.push(old_proj),
-                (false, true) => added.push(new_proj),
-                (true, true) => {
-                    if old_proj != new_proj {
-                        removed.push(old_proj);
-                        added.push(new_proj);
-                    }
-                }
-                (false, false) => {}
+        for ((&code, (_, old, new)), row) in signature.iter().zip(&patched).zip(rows.iter_mut()) {
+            if code == SAME {
+                continue;
+            }
+            let (old_proj, new_proj) =
+                row.get_or_insert_with(|| (old.project(projection), new.project(projection)));
+            if code == REMOVED || code == REPLACED {
+                removed.push(old_proj.clone());
+            }
+            if code == ADDED || code == REPLACED {
+                added.push(new_proj.clone());
             }
         }
         removed.sort();
         added.sort();
-        groups.entry((removed, added)).or_default().push(qidx);
+        groups
+            .entry((removed, added))
+            .or_default()
+            .extend(query_indices);
     }
 
     let groups = groups
         .into_iter()
-        .map(|((removed, added), query_indices)| {
+        .map(|((removed, added), mut query_indices)| {
+            query_indices.sort_unstable();
             let result_edit_cost = min_edit_rows(&removed, &added, arity);
             GroupEffect {
                 query_indices,
@@ -310,6 +412,20 @@ pub fn evaluate_modification(
         })
         .collect();
     ModificationEvaluation { groups }
+}
+
+/// Bit `c` for every column `c` below 64; every bit once a column is wider.
+fn column_mask(columns: impl IntoIterator<Item = usize>) -> u64 {
+    columns.into_iter().fold(
+        0,
+        |mask, c| {
+            if c < 64 {
+                mask | 1u64 << c
+            } else {
+                u64::MAX
+            }
+        },
+    )
 }
 
 /// Materializes the query result of one group on the modified database by

@@ -21,6 +21,9 @@ pub struct BoundQuery {
     projection_names: Vec<String>,
     /// (attribute name, resolved column index) for every predicate attribute.
     attribute_idx: Vec<(String, usize)>,
+    /// Per conjunct, per term: the term's resolved join column (`None` reads
+    /// as NULL), so row evaluation needs no name search.
+    term_columns: Vec<Vec<Option<usize>>>,
     predicate: DnfPredicate,
     distinct: bool,
 }
@@ -46,10 +49,28 @@ impl BoundQuery {
                 })?;
             attribute_idx.push((attr, idx));
         }
+        let term_columns = query
+            .predicate
+            .conjuncts()
+            .iter()
+            .map(|conjunct| {
+                conjunct
+                    .terms()
+                    .iter()
+                    .map(|term| {
+                        attribute_idx
+                            .iter()
+                            .find(|(name, _)| name == term.attribute())
+                            .map(|&(_, idx)| idx)
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(BoundQuery {
             projection_idx,
             projection_names: query.projection.clone(),
             attribute_idx,
+            term_columns,
             predicate: query.predicate.clone(),
             distinct: query.distinct,
         })
@@ -65,16 +86,23 @@ impl BoundQuery {
         &self.attribute_idx
     }
 
-    /// Whether the predicate holds for a single joined row.
+    /// Whether the predicate holds for a single joined row: exactly
+    /// [`DnfPredicate::eval`] with each attribute looked up by name (a missing
+    /// column reads as NULL), but over the columns resolved at bind time.
     pub fn matches_row(&self, row: &qfe_relation::Tuple) -> bool {
-        let lookup = |name: &str| -> Value {
-            self.attribute_idx
-                .iter()
-                .find(|(n, _)| n == name)
-                .and_then(|(_, idx)| row.get(*idx).cloned())
-                .unwrap_or(Value::Null)
-        };
-        self.predicate.eval(&lookup)
+        static NULL: Value = Value::Null;
+        let conjuncts = self.predicate.conjuncts();
+        if conjuncts.is_empty() {
+            return true;
+        }
+        conjuncts
+            .iter()
+            .zip(&self.term_columns)
+            .any(|(conjunct, columns)| {
+                conjunct.terms().iter().zip(columns).all(|(term, column)| {
+                    term.eval(column.and_then(|c| row.get(c)).unwrap_or(&NULL))
+                })
+            })
     }
 
     /// Evaluates the bound query over the given join.
@@ -113,15 +141,11 @@ impl BoundQuery {
             return Bitmap::all_set(rows);
         }
         let mut acc = Bitmap::new(rows);
-        for conjunct in conjuncts {
+        for (conjunct, columns) in conjuncts.iter().zip(&self.term_columns) {
             let mut selected = Bitmap::all_set(rows);
-            for term in conjunct.terms() {
-                match self
-                    .attribute_idx
-                    .iter()
-                    .find(|(n, _)| n == term.attribute())
-                {
-                    Some((_, col)) => {
+            for (term, column) in conjunct.terms().iter().zip(columns) {
+                match column {
+                    Some(col) => {
                         selected.and_assign(cache.term_bitmap(columnar, *col, term));
                     }
                     // Unresolvable attribute ⇒ NULL lookup ⇒ the term fails.
@@ -207,7 +231,7 @@ pub fn evaluate(query: &SpjQuery, db: &Database) -> Result<QueryResult> {
 mod tests {
     use super::*;
     use crate::predicate::{ComparisonOp, DnfPredicate, Term};
-    use qfe_relation::{tuple, ColumnDef, DataType, ForeignKey, Table, TableSchema};
+    use qfe_relation::{tuple, ColumnDef, DataType, ForeignKey, Table, TableSchema, Tuple};
 
     /// The Employee database of the paper's Example 1.1.
     fn employee_db() -> Database {
@@ -400,5 +424,80 @@ mod tests {
         for (i, jr) in join.rows().iter().enumerate() {
             assert_eq!(bound.matches_row(&jr.tuple), matching.contains(&i));
         }
+    }
+
+    /// `matches_row` reads columns resolved at bind time; the oracle is the
+    /// predicate evaluated with a by-name lookup that clones each value.
+    #[test]
+    fn matches_row_agrees_with_name_lookup_evaluation() {
+        use crate::predicate::Conjunct;
+        let table = Table::with_rows(
+            TableSchema::new(
+                "T",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::nullable("dept", DataType::Text),
+                    ColumnDef::nullable("salary", DataType::Int),
+                ],
+            )
+            .unwrap()
+            .with_primary_key(&["id"])
+            .unwrap(),
+            vec![
+                tuple![1i64, "IT", 4200i64],
+                Tuple::new(vec![Value::Int(2), Value::Null, Value::Int(3000)]),
+                Tuple::new(vec![
+                    Value::Int(3),
+                    Value::Text("Sales".into()),
+                    Value::Null,
+                ]),
+                Tuple::new(vec![Value::Int(4), Value::Null, Value::Null]),
+                tuple![5i64, "HR", 5000i64],
+            ],
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.add_table(table).unwrap();
+        let join = foreign_key_join(&db, &["T".to_string()]).unwrap();
+        let it_or_hr = vec![Value::from("IT"), Value::from("HR")];
+        let predicates = vec![
+            DnfPredicate::always_true(),
+            DnfPredicate::single(Term::compare("salary", ComparisonOp::Gt, 3500i64)),
+            DnfPredicate::single(Term::compare("salary", ComparisonOp::Ne, Value::Null)),
+            DnfPredicate::single(Term::is_in("dept", it_or_hr.clone())),
+            DnfPredicate::single(Term::not_in("dept", it_or_hr.clone())),
+            DnfPredicate::conjunction(vec![
+                Term::not_in("dept", vec![Value::from("HR")]),
+                Term::compare("salary", ComparisonOp::Le, 4200i64),
+            ]),
+            DnfPredicate::new(vec![
+                Conjunct::new(vec![Term::eq("dept", "Sales")]),
+                Conjunct::new(vec![
+                    Term::compare("salary", ComparisonOp::Lt, 4000i64),
+                    Term::compare("id", ComparisonOp::Ge, 2i64),
+                ]),
+                Conjunct::new(vec![Term::is_in("T.dept", it_or_hr)]),
+            ]),
+        ];
+        let mut outcomes = [0usize; 2];
+        for predicate in predicates {
+            let query = SpjQuery::new(vec!["T"], vec!["id"], predicate.clone());
+            let bound = BoundQuery::bind(&query, &join).unwrap();
+            for jr in join.rows() {
+                let lookup = |name: &str| -> Value {
+                    join.resolve_column(name)
+                        .ok()
+                        .and_then(|c| jr.tuple.get(c).cloned())
+                        .unwrap_or(Value::Null)
+                };
+                let expected = predicate.eval(&lookup);
+                assert_eq!(bound.matches_row(&jr.tuple), expected, "{predicate}");
+                outcomes[usize::from(expected)] += 1;
+            }
+        }
+        assert!(
+            outcomes[0] > 0 && outcomes[1] > 0,
+            "both outcomes exercised"
+        );
     }
 }

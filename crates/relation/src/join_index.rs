@@ -16,17 +16,21 @@ use crate::join::JoinedRelation;
 /// row participates in.
 #[derive(Debug, Clone, Default)]
 pub struct JoinIndex {
-    entries: BTreeMap<(String, usize), Vec<usize>>,
+    /// Base table → base row → joined rows (keyed by table first, so a
+    /// lookup borrows the table name instead of allocating a key).
+    entries: BTreeMap<String, BTreeMap<usize, Vec<usize>>>,
 }
 
 impl JoinIndex {
     /// Builds the index from a joined relation's provenance.
     pub fn build(join: &JoinedRelation) -> Self {
-        let mut entries: BTreeMap<(String, usize), Vec<usize>> = BTreeMap::new();
+        let mut entries: BTreeMap<String, BTreeMap<usize, Vec<usize>>> = BTreeMap::new();
         for (joined_idx, row) in join.rows().iter().enumerate() {
             for (table, &base_idx) in &row.provenance {
                 entries
-                    .entry((table.clone(), base_idx))
+                    .entry(table.clone())
+                    .or_default()
+                    .entry(base_idx)
                     .or_default()
                     .push(joined_idx);
             }
@@ -38,9 +42,9 @@ impl JoinIndex {
     /// Empty when the base row does not participate in the join (dangling).
     pub fn joined_rows_of(&self, table: &str, row: usize) -> &[usize] {
         self.entries
-            .get(&(table.to_string(), row))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+            .get(table)
+            .and_then(|rows| rows.get(&row))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Number of joined rows a base row participates in (its *fan-out*).
@@ -55,15 +59,14 @@ impl JoinIndex {
     /// All indexed base rows of a given table.
     pub fn base_rows(&self, table: &str) -> Vec<usize> {
         self.entries
-            .keys()
-            .filter(|(t, _)| t == table)
-            .map(|(_, r)| *r)
-            .collect()
+            .get(table)
+            .map(|rows| rows.keys().copied().collect())
+            .unwrap_or_default()
     }
 
     /// Total number of `(table, base row)` entries in the index.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(BTreeMap::len).sum()
     }
 
     /// True if the index is empty.

@@ -724,3 +724,355 @@ fn batch_verifier_agrees_with_row_evaluator_on_every_enumerated_query() {
         "too few verdicts of one kind ({accepted} accepted, {rejected} rejected)"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Algorithm 4: the incremental pick vs. the direct implementation
+// ---------------------------------------------------------------------------
+
+/// The direct Algorithm 4, realization and evaluation, shared with the
+/// `qfe-core` unit tests.
+#[path = "../crates/core/src/oracle.rs"]
+mod pick_oracle;
+
+/// A random Dept ⋈ Emp database. Departments have several employees, so an
+/// edit to a department cell changes several joined rows (fan-out side
+/// effects).
+fn build_dept_emp(rng: &mut StdRng) -> Database {
+    let dept = TableSchema::new(
+        "Dept",
+        vec![
+            ColumnDef::new("did", DataType::Int),
+            ColumnDef::new("dname", DataType::Text),
+            ColumnDef::nullable("budget", DataType::Int),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["did"])
+    .unwrap();
+    let emp = TableSchema::new(
+        "Emp",
+        vec![
+            ColumnDef::new("eid", DataType::Int),
+            ColumnDef::new("did", DataType::Int),
+            ColumnDef::new("salary", DataType::Int),
+            ColumnDef::nullable("age", DataType::Int),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["eid"])
+    .unwrap();
+    let depts = rng.gen_range(2usize..5);
+    let dept_rows: Vec<Tuple> = (0..depts)
+        .map(|d| {
+            let budget = if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(1i64..6) * 100)
+            };
+            Tuple::new(vec![
+                Value::Int(d as i64),
+                Value::Text(DEPTS[rng.gen_range(0..DEPTS.len())].to_string()),
+                budget,
+            ])
+        })
+        .collect();
+    let emp_rows: Vec<Tuple> = (0..rng.gen_range(4usize..11))
+        .map(|e| {
+            let age = if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(20i64..60))
+            };
+            Tuple::new(vec![
+                Value::Int(e as i64),
+                Value::Int(rng.gen_range(0..depts) as i64),
+                Value::Int(rng.gen_range(10i64..90) * 100),
+                age,
+            ])
+        })
+        .collect();
+    let mut db = Database::new();
+    db.add_table(Table::with_rows(dept, dept_rows).unwrap())
+        .unwrap();
+    db.add_table(Table::with_rows(emp, emp_rows).unwrap())
+        .unwrap();
+    db.add_foreign_key(qfe_relation::ForeignKey::new("Emp", "did", "Dept", "did"))
+        .unwrap();
+    db
+}
+
+/// A random term over the Dept ⋈ Emp join: comparisons, `IN` and `NOT IN`.
+fn random_dept_emp_term(rng: &mut StdRng) -> Term {
+    let ops = [
+        ComparisonOp::Eq,
+        ComparisonOp::Ne,
+        ComparisonOp::Lt,
+        ComparisonOp::Ge,
+    ];
+    let op = ops[rng.gen_range(0..ops.len())];
+    match rng.gen_range(0u8..5) {
+        0 => Term::compare("salary", op, rng.gen_range(10i64..90) * 100),
+        1 => Term::compare("age", op, rng.gen_range(20i64..60)),
+        2 => Term::compare("budget", op, rng.gen_range(1i64..6) * 100),
+        3 => Term::eq("dname", DEPTS[rng.gen_range(0..DEPTS.len())]),
+        _ => {
+            let values: Vec<Value> = (0..rng.gen_range(1usize..3))
+                .map(|_| Value::from(DEPTS[rng.gen_range(0..DEPTS.len())]))
+                .collect();
+            if rng.gen_bool(0.5) {
+                Term::is_in("dname", values)
+            } else {
+                Term::not_in("dname", values)
+            }
+        }
+    }
+}
+
+/// `count` random queries over Dept ⋈ Emp with 1–2 conjuncts of 1–2 terms.
+fn random_dept_emp_queries(rng: &mut StdRng, count: usize) -> Vec<SpjQuery> {
+    (0..count)
+        .map(|_| {
+            let conjuncts: Vec<qfe_query::Conjunct> = (0..rng.gen_range(1usize..3))
+                .map(|_| {
+                    qfe_query::Conjunct::new(
+                        (0..rng.gen_range(1usize..3))
+                            .map(|_| random_dept_emp_term(rng))
+                            .collect(),
+                    )
+                })
+                .collect();
+            SpjQuery::new(
+                vec!["Dept", "Emp"],
+                vec!["eid"],
+                DnfPredicate::new(conjuncts),
+            )
+        })
+        .collect()
+}
+
+/// Asserts the production pick equals the oracle's, field by field.
+fn assert_same_pick(
+    fast: &Result<qfe_core::PickOutcome, QfeError>,
+    oracle: &Result<qfe_core::PickOutcome, QfeError>,
+    what: &str,
+) {
+    match (fast, oracle) {
+        (Ok(fast), Ok(oracle)) => {
+            assert_eq!(fast.chosen, oracle.chosen, "{what}: chosen");
+            assert_eq!(
+                fast.cost.to_bits(),
+                oracle.cost.to_bits(),
+                "{what}: cost bits"
+            );
+            assert_eq!(
+                fast.cost_evaluations, oracle.cost_evaluations,
+                "{what}: cost evaluations"
+            );
+            assert_eq!(fast.realized, oracle.realized, "{what}: realized");
+            assert_eq!(fast.evaluation, oracle.evaluation, "{what}: evaluation");
+        }
+        (Err(fast), Err(oracle)) => {
+            assert_eq!(fast.to_string(), oracle.to_string(), "{what}: error");
+        }
+        _ => panic!("{what}: one pick failed and the other did not"),
+    }
+}
+
+/// The incremental Algorithm 4 picks exactly what the direct one picks:
+/// the same pairs, cost bits, evaluation count, realization and groups, on
+/// random contexts. The pools are the skyline and every 1- and 2-attribute
+/// destination pair of every source class (larger, with realization
+/// conflicts and levels that reach `MAX_SETS_PER_LEVEL`). A pool of
+/// `MAX_COST_EVALUATIONS - 64` repeated pairs leaves 64 costings for the
+/// first extension level, so the evaluation cap cuts it, and a 2-candidate
+/// context whose singletons all split perfectly covers the zero-balance
+/// skip.
+#[test]
+fn incremental_pick_is_identical_to_the_direct_algorithm_on_random_contexts() {
+    use qfe_core::{
+        pick_stc_dtc_subset, skyline_stc_dtc_pairs, ClassPair, CostModelKind, GenerationContext,
+        MAX_COST_EVALUATIONS, MAX_SETS_PER_LEVEL,
+    };
+    let mut rng = StdRng::seed_from_u64(108);
+    let (mut contexts, mut level_caps, mut evaluation_caps, mut perfect_splits) = (0, 0, 0, 0);
+    for case in 0..24 {
+        let db = build_dept_emp(&mut rng);
+        let count = if case % 8 == 0 {
+            2
+        } else {
+            rng.gen_range(3usize..8)
+        };
+        let queries = random_dept_emp_queries(&mut rng, count);
+        let result = evaluate(&queries[0], &db).unwrap();
+        let Ok(ctx) = GenerationContext::new(&db, &result, &queries) else {
+            continue;
+        };
+        let skyline = skyline_stc_dtc_pairs(&ctx, std::time::Duration::from_secs(60));
+        let mut pool: Vec<ClassPair> = Vec::new();
+        for class in ctx.source_classes().keys() {
+            for k in 1..=2 {
+                pool.extend(ctx.destination_pairs(class, k));
+            }
+        }
+        // Bounded so the direct algorithm stays quick in debug builds.
+        pool.truncate(200);
+        let mut sky = skyline.pairs.clone();
+        sky.truncate(200);
+        let mut pools = vec![("skyline", sky), ("pool", pool.clone())];
+        if case % 8 == 1 && !pool.is_empty() {
+            let repeated: Vec<ClassPair> = pool
+                .iter()
+                .cycle()
+                .take(MAX_COST_EVALUATIONS - 64)
+                .cloned()
+                .collect();
+            pools.push(("repeated", repeated));
+        }
+        contexts += 1;
+        for (name, pairs) in &pools {
+            let model = if rng.gen_bool(0.25) {
+                CostModelKind::MaxPartitions
+            } else {
+                CostModelKind::UserEffort
+            };
+            let params = CostParams::default().with_model(model);
+            let fast = pick_stc_dtc_subset(&ctx, pairs, &params, skyline.best_binary_x);
+            let mut level_sizes = Vec::new();
+            let oracle = pick_oracle::pick_traced(
+                &ctx,
+                pairs,
+                &params,
+                skyline.best_binary_x,
+                &mut level_sizes,
+            );
+            assert_same_pick(&fast, &oracle, &format!("case {case} {name}"));
+            if level_sizes.contains(&MAX_SETS_PER_LEVEL) {
+                level_caps += 1;
+            }
+            if fast.as_ref().is_ok_and(|o| {
+                o.cost_evaluations == MAX_COST_EVALUATIONS && pairs.len() < MAX_COST_EVALUATIONS
+            }) {
+                evaluation_caps += 1;
+            }
+        }
+        if count == 2
+            && !skyline.pairs.is_empty()
+            && (0..skyline.pairs.len()).all(|i| ctx.balance_of(&skyline.pairs, &[i]) == 0.0)
+        {
+            perfect_splits += 1;
+            let params = CostParams::default();
+            let fast = pick_stc_dtc_subset(&ctx, &skyline.pairs, &params, skyline.best_binary_x);
+            assert_eq!(fast.as_ref().map(|o| o.extension_checks).ok(), Some(0));
+            let oracle = pick_oracle::pick_stc_dtc_subset(
+                &ctx,
+                &skyline.pairs,
+                &params,
+                skyline.best_binary_x,
+            );
+            assert_same_pick(&fast, &oracle, &format!("case {case} perfect split"));
+        }
+    }
+    assert!(contexts >= 20, "too few valid contexts: {contexts}");
+    assert!(level_caps > 0, "no context reached MAX_SETS_PER_LEVEL");
+    assert!(
+        evaluation_caps > 0,
+        "no context reached MAX_COST_EVALUATIONS"
+    );
+    assert!(perfect_splits > 0, "no 2-candidate perfect-split context");
+}
+
+/// The realization and the per-signature evaluation equal the direct ones
+/// on random pair sets and on random edit sets, including edits to
+/// department cells shared by several joined rows and edits that leave a
+/// cell unchanged.
+#[test]
+fn realization_and_evaluation_match_the_direct_versions_on_random_edits() {
+    use qfe_core::{evaluate_modification, realize_pairs, CellEdit, ClassPair, GenerationContext};
+    let mut rng = StdRng::seed_from_u64(109);
+    let (mut realized_sets, mut fan_out_edits) = (0, 0);
+    for _ in 0..40 {
+        let db = build_dept_emp(&mut rng);
+        let count = rng.gen_range(2usize..8);
+        let queries = random_dept_emp_queries(&mut rng, count);
+        let result = evaluate(&queries[0], &db).unwrap();
+        let Ok(ctx) = GenerationContext::new(&db, &result, &queries) else {
+            continue;
+        };
+        let mut pool: Vec<ClassPair> = Vec::new();
+        for class in ctx.source_classes().keys() {
+            for k in 1..=2 {
+                pool.extend(ctx.destination_pairs(class, k));
+            }
+        }
+        for _ in 0..12 {
+            if pool.is_empty() {
+                break;
+            }
+            let pairs: Vec<ClassPair> = (0..rng.gen_range(1usize..5))
+                .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+                .collect();
+            let realized = realize_pairs(&ctx, &pairs);
+            assert_eq!(realized, pick_oracle::realize_pairs(&ctx, &pairs));
+            if let Some(realized) = realized {
+                realized_sets += 1;
+                assert_eq!(
+                    evaluate_modification(&ctx, &realized.edits),
+                    pick_oracle::evaluate_modification(&ctx, &realized.edits)
+                );
+            }
+        }
+        let depts = db.table("Dept").unwrap().len();
+        let emps = db.table("Emp").unwrap().len();
+        for _ in 0..12 {
+            let edits: Vec<CellEdit> = (0..rng.gen_range(1usize..4))
+                .map(|_| {
+                    let (table, row, column, new_value) = match rng.gen_range(0u8..4) {
+                        0 => (
+                            "Dept",
+                            rng.gen_range(0..depts),
+                            "budget",
+                            Value::Int(rng.gen_range(1i64..6) * 100),
+                        ),
+                        1 => (
+                            "Dept",
+                            rng.gen_range(0..depts),
+                            "dname",
+                            Value::from(DEPTS[rng.gen_range(0..DEPTS.len())]),
+                        ),
+                        2 => (
+                            "Emp",
+                            rng.gen_range(0..emps),
+                            "salary",
+                            Value::Int(rng.gen_range(10i64..90) * 100),
+                        ),
+                        _ => (
+                            "Emp",
+                            rng.gen_range(0..emps),
+                            "age",
+                            if rng.gen_bool(0.3) {
+                                Value::Null
+                            } else {
+                                Value::Int(rng.gen_range(20i64..60))
+                            },
+                        ),
+                    };
+                    CellEdit {
+                        table: table.to_string(),
+                        row,
+                        column: column.to_string(),
+                        new_value,
+                    }
+                })
+                .collect();
+            if edits.iter().any(|e| e.table == "Dept") {
+                fan_out_edits += 1;
+            }
+            assert_eq!(
+                evaluate_modification(&ctx, &edits),
+                pick_oracle::evaluate_modification(&ctx, &edits)
+            );
+        }
+    }
+    assert!(realized_sets >= 100, "too few realizable pair sets");
+    assert!(fan_out_edits >= 100, "too few department edits");
+}
